@@ -15,41 +15,60 @@
 namespace nobl::dist {
 namespace {
 
-// Wire frames (host byte order — coordinator and workers share a machine;
-// a cross-host deployment would pin endianness at the device layer):
-//   'B' block:  u8 'B', u32 label, u64 nevents, then the src / dst / count
-//               u64 columns and ceil(nevents/64) dummy-bitmap words
-//   'D' done:   u8 'D' — the program returned normally on this worker
-//   'E' error:  u8 'E', u8 exception code, u64 length, message bytes
-//   'A' ack:    u8 'A' — the coordinator's end-of-superstep barrier
-constexpr char kFrameBlock = 'B';
-constexpr char kFrameDone = 'D';
-constexpr char kFrameError = 'E';
+// Wire frames, every integer little-endian (put_le / get_le). A worker's
+// frame is one fixed 13-byte header `u8 kind, u32 aux, u64 length` and a
+// body, written with a single Channel::send:
+//   'B' block:  aux = label, length = nevents; body = the src / dst / count
+//               u64 columns, then ceil(nevents/64) dummy-bitmap words
+//   'D' done:   aux = 0, length = 0, no body — the program returned
+//               normally on this worker
+//   'E' error:  aux = exception code, length = message bytes; body = the
+//               message
+//   'A' ack:    the single byte 'A' — the coordinator's end-of-superstep
+//               barrier
+// The coordinator reads a frame as one recv for the header and one for
+// the body.
+constexpr std::uint8_t kFrameBlock = 'B';
+constexpr std::uint8_t kFrameDone = 'D';
+constexpr std::uint8_t kFrameError = 'E';
 constexpr char kFrameAck = 'A';
+constexpr std::size_t kHeaderBytes = 13;
+constexpr std::uint64_t kMaxEvents = std::uint64_t{1} << 40;
+constexpr std::uint64_t kMaxMessageBytes = std::uint64_t{1} << 20;
 
 // Exception codes for 'E' frames; the coordinator rethrows the matching
 // type so error behavior is backend-conformant with CostBackend.
-constexpr std::uint8_t kErrInvalidArgument = 1;
-constexpr std::uint8_t kErrOutOfRange = 2;
-constexpr std::uint8_t kErrClusterViolation = 3;
-constexpr std::uint8_t kErrLogicError = 4;
-constexpr std::uint8_t kErrRuntime = 5;
+constexpr std::uint32_t kErrInvalidArgument = 1;
+constexpr std::uint32_t kErrOutOfRange = 2;
+constexpr std::uint32_t kErrClusterViolation = 3;
+constexpr std::uint32_t kErrLogicError = 4;
+constexpr std::uint32_t kErrRuntime = 5;
 
 [[noreturn]] void worker_gone(unsigned index) {
   throw std::runtime_error("dist: worker " + std::to_string(index) +
                            " died mid-protocol (no frame)");
 }
 
-bool send_u64s(Channel& channel, const std::vector<std::uint64_t>& words) {
-  return words.empty() ||
-         channel.send(words.data(), words.size() * sizeof(std::uint64_t));
+/// Size `frame` for a header plus `body_bytes`, write the header, and
+/// return where the body goes.
+std::uint8_t* start_frame(std::vector<std::uint8_t>& frame, std::uint8_t kind,
+                          std::uint32_t aux, std::uint64_t length,
+                          std::size_t body_bytes) {
+  frame.resize(kHeaderBytes + body_bytes);
+  frame[0] = kind;
+  put_le(frame.data() + 1, aux);
+  put_le(frame.data() + 5, length);
+  return frame.data() + kHeaderBytes;
 }
 
-bool recv_u64s(Channel& channel, std::vector<std::uint64_t>& words,
-               std::size_t count) {
-  words.resize(count);
-  return count == 0 ||
-         channel.recv(words.data(), count * sizeof(std::uint64_t));
+/// Append `words` to a frame body as little-endian u64s; returns the end.
+std::uint8_t* put_column(std::uint8_t* out,
+                         const std::vector<std::uint64_t>& words) {
+  for (const std::uint64_t word : words) {
+    put_le(out, word);
+    out += sizeof(std::uint64_t);
+  }
+  return out;
 }
 
 /// Run the program under a shard backend and report the outcome; never
@@ -57,7 +76,7 @@ bool recv_u64s(Channel& channel, std::vector<std::uint64_t>& words,
 void worker_main(std::uint64_t v, std::uint64_t first, std::uint64_t last,
                  const std::function<void(DistributedBackend&)>& program,
                  Channel& channel) {
-  std::uint8_t code = 0;
+  std::uint32_t code = 0;
   std::string what;
   try {
     DistributedBackend backend(v, first, last, &channel);
@@ -80,15 +99,14 @@ void worker_main(std::uint64_t v, std::uint64_t first, std::uint64_t last,
     code = kErrRuntime;
     what = e.what();
   }
-  const char frame = kFrameError;
-  const std::uint64_t len = what.size();
-  if (channel.send(&frame, 1) && channel.send(&code, 1) &&
-      channel.send(&len, sizeof(len))) {
-    (void)channel.send(what.data(), what.size());
-  }
+  std::vector<std::uint8_t> frame;
+  std::uint8_t* body =
+      start_frame(frame, kFrameError, code, what.size(), what.size());
+  std::memcpy(body, what.data(), what.size());
+  (void)channel.send(frame.data(), frame.size());
 }
 
-[[noreturn]] void rethrow_worker_error(unsigned index, std::uint8_t code,
+[[noreturn]] void rethrow_worker_error(unsigned index, std::uint32_t code,
                                        const std::string& what) {
   const std::string message =
       what.empty()
@@ -158,23 +176,22 @@ void DistributedBackend::begin_superstep(unsigned label) {
   in_superstep_ = true;
   label_ = label;
   breach_shift_ = log_v_ - label;
-  block_ = MergedStep{};
+  block_.clear();
   block_.label = label;
 }
 
 void DistributedBackend::end_superstep() {
-  const char frame = kFrameBlock;
-  const std::uint32_t label = label_;
-  const std::uint64_t nevents = block_.src.size();
-  const bool sent = channel_->send(&frame, 1) &&
-                    channel_->send(&label, sizeof(label)) &&
-                    channel_->send(&nevents, sizeof(nevents)) &&
-                    send_u64s(*channel_, block_.src) &&
-                    send_u64s(*channel_, block_.dst) &&
-                    send_u64s(*channel_, block_.count) &&
-                    send_u64s(*channel_, block_.dummy_words);
+  const std::size_t nevents = block_.src.size();
+  const std::size_t words = 3 * nevents + block_.dummy_words.size();
+  std::uint8_t* out = start_frame(frame_, kFrameBlock, label_, nevents,
+                                  words * sizeof(std::uint64_t));
+  out = put_column(out, block_.src);
+  out = put_column(out, block_.dst);
+  out = put_column(out, block_.count);
+  put_column(out, block_.dummy_words);
   char ack = 0;
-  if (!sent || !channel_->recv(&ack, 1) || ack != kFrameAck) {
+  if (!channel_->send(frame_.data(), frame_.size()) ||
+      !channel_->recv(&ack, 1) || ack != kFrameAck) {
     throw std::runtime_error(
         "DistributedBackend: coordinator went away mid-superstep");
   }
@@ -182,8 +199,8 @@ void DistributedBackend::end_superstep() {
 }
 
 void DistributedBackend::finish() {
-  const char frame = kFrameDone;
-  if (!channel_->send(&frame, 1)) {
+  start_frame(frame_, kFrameDone, 0, 0, 0);
+  if (!channel_->send(frame_.data(), frame_.size())) {
     throw std::runtime_error(
         "DistributedBackend: coordinator went away at end of program");
   }
@@ -214,27 +231,31 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
   TraceWriter writer(wire, log_v);
   DegreeAccumulator acc(log_v);
   std::vector<double> superstep_ms;
+  std::uint8_t header[kHeaderBytes] = {};
+  std::vector<std::uint8_t> body;  // reused by every block frame
   MergedStep merged;
 
   bool done = false;
   while (!done) {
     const auto step_start = std::chrono::steady_clock::now();
-    merged = MergedStep{};
-    std::uint32_t step_label = 0;
+    // Merge exactly like Schedule::replay_trace: one accumulator for the
+    // whole run, a fresh record per superstep, count() per event.
+    SuperstepRecord record;
+    record.degree.assign(log_v + 1u, 0);
+    if (capture != nullptr) merged = MergedStep{};
     for (unsigned w = 0; w < workers; ++w) {
       Channel& channel = *links[w].channel;
-      char kind = 0;
-      if (!channel.recv(&kind, 1)) worker_gone(w);
+      if (!channel.recv(header, kHeaderBytes)) worker_gone(w);
+      const std::uint8_t kind = header[0];
+      const auto aux = get_le<std::uint32_t>(header + 1);
+      const auto length = get_le<std::uint64_t>(header + 5);
       if (kind == kFrameError) {
-        std::uint8_t code = 0;
-        std::uint64_t len = 0;
         std::string what;
-        if (channel.recv(&code, 1) && channel.recv(&len, sizeof(len)) &&
-            len <= (std::uint64_t{1} << 20)) {
-          what.resize(len);
-          if (len != 0 && !channel.recv(what.data(), len)) what.clear();
+        if (length <= kMaxMessageBytes) {
+          what.resize(length);
+          if (length != 0 && !channel.recv(what.data(), length)) what.clear();
         }
-        rethrow_worker_error(w, code, what);
+        rethrow_worker_error(w, aux, what);
       }
       if (kind == kFrameDone) {
         if (w != 0) {
@@ -244,56 +265,49 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
         done = true;
         // The remaining workers must agree the program is over.
         for (unsigned other = 1; other < workers; ++other) {
-          char other_kind = 0;
-          if (!links[other].channel->recv(&other_kind, 1)) worker_gone(other);
-          if (other_kind != kFrameDone) {
+          if (!links[other].channel->recv(header, kHeaderBytes)) {
+            worker_gone(other);
+          }
+          if (header[0] != kFrameDone) {
             throw std::runtime_error(
                 "dist: workers disagree on the superstep count");
           }
         }
         break;
       }
-      if (kind != kFrameBlock) worker_gone(w);
-      std::uint32_t label = 0;
-      std::uint64_t nevents = 0;
-      if (!channel.recv(&label, sizeof(label)) ||
-          !channel.recv(&nevents, sizeof(nevents)) ||
-          nevents > (std::uint64_t{1} << 40)) {
-        worker_gone(w);
-      }
+      if (kind != kFrameBlock || length > kMaxEvents) worker_gone(w);
       if (w == 0) {
-        step_label = label;
-        merged.label = label;
-      } else if (label != step_label) {
+        record.label = aux;
+        merged.label = aux;
+      } else if (aux != record.label) {
         throw std::runtime_error("dist: workers disagree on superstep labels");
       }
-      std::vector<std::uint64_t> src;
-      std::vector<std::uint64_t> dst;
-      std::vector<std::uint64_t> count;
-      std::vector<std::uint64_t> dummy_words;
-      if (!recv_u64s(channel, src, nevents) ||
-          !recv_u64s(channel, dst, nevents) ||
-          !recv_u64s(channel, count, nevents) ||
-          !recv_u64s(channel, dummy_words, (nevents + 63) / 64)) {
-        worker_gone(w);
-      }
+      const std::size_t nevents = length;
+      const std::size_t column_bytes = nevents * sizeof(std::uint64_t);
+      body.resize(3 * column_bytes +
+                  (nevents + 63) / 64 * sizeof(std::uint64_t));
+      if (!channel.recv(body.data(), body.size())) worker_gone(w);
       // Contiguous clusters + worker-index order = global ascending-sender
       // order, i.e. exactly the event order RecordBackend captures.
-      for (std::uint64_t i = 0; i < nevents; ++i) {
-        merged.push(src[i], dst[i], count[i],
-                    ((dummy_words[i >> 6] >> (i & 63)) & 1) != 0);
+      const std::uint8_t* src = body.data();
+      const std::uint8_t* dst = src + column_bytes;
+      const std::uint8_t* count = dst + column_bytes;
+      const std::uint8_t* dummy = count + column_bytes;
+      for (std::size_t i = 0; i < nevents; ++i) {
+        const std::size_t at = i * sizeof(std::uint64_t);
+        const auto s = get_le<std::uint64_t>(src + at);
+        const auto d = get_le<std::uint64_t>(dst + at);
+        const auto c = get_le<std::uint64_t>(count + at);
+        acc.count(s, d, c);
+        if (capture != nullptr) {
+          const auto word =
+              get_le<std::uint64_t>(dummy + (i >> 6) * sizeof(std::uint64_t));
+          merged.push(s, d, c, ((word >> (i & 63)) & 1) != 0);
+        }
       }
     }
     if (done) break;
 
-    // Merge exactly like Schedule::replay_trace: one accumulator for the
-    // whole run, a fresh record per superstep, count() per event.
-    SuperstepRecord record;
-    record.label = merged.label;
-    record.degree.assign(log_v + 1u, 0);
-    for (std::size_t i = 0; i < merged.src.size(); ++i) {
-      acc.count(merged.src[i], merged.dst[i], merged.count[i]);
-    }
     acc.finalize_into(record);
     writer.append(record);
     superstep_ms.push_back(ms_since(step_start));

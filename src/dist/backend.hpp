@@ -5,10 +5,11 @@
 // machine's processors), runs the *same* program in every worker, and has
 // each worker execute superstep bodies only for the VPs it owns. After
 // every superstep each worker ships its (src, dst, count, dummy) event
-// block to the coordinator over its Channel; the coordinator merges the
-// blocks in worker order — which, with contiguous clusters and the
-// sequential per-worker driver, is exactly the ascending-sender event
-// order RecordBackend records — through one DegreeAccumulator, mirroring
+// block to the coordinator over its Channel, as one little-endian frame
+// written with a single send; the coordinator merges the blocks in worker
+// order — which, with contiguous clusters and the sequential per-worker
+// driver, is exactly the ascending-sender event order RecordBackend
+// records — through one DegreeAccumulator, mirroring
 // Schedule::replay_trace verbatim. The merged trace is therefore
 // bit-identical to every in-process backend by construction (pinned by
 // tests/dist/test_distributed.cpp for all registry kernels).
@@ -81,6 +82,14 @@ struct MergedStep {
     count.push_back(c);
     if ((i & 63) == 0) dummy_words.push_back(0);
     if (dummy) dummy_words[i >> 6] |= std::uint64_t{1} << (i & 63);
+  }
+
+  /// Empty every column, keeping its capacity.
+  void clear() {
+    src.clear();
+    dst.clear();
+    count.clear();
+    dummy_words.clear();
   }
 };
 
@@ -183,8 +192,8 @@ class DistributedBackend {
   friend class VpRef;
 
   void begin_superstep(unsigned label);
-  /// Ship this worker's event block and wait for the coordinator's
-  /// barrier ack.
+  /// Ship this worker's event block as one frame and wait for the
+  /// coordinator's barrier ack.
   void end_superstep();
 
   void record(std::uint64_t src, std::uint64_t dst, std::uint64_t count,
@@ -209,6 +218,7 @@ class DistributedBackend {
   std::uint64_t last_;
   Channel* channel_;
   MergedStep block_;  ///< this worker's events of the open superstep
+  std::vector<std::uint8_t> frame_;  ///< encoded outgoing frame, reused
   bool in_superstep_ = false;
   unsigned label_ = 0;
   unsigned breach_shift_ = 0;

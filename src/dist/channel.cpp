@@ -7,8 +7,10 @@
 #include <utility>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "util/fd_io.hpp"
@@ -16,8 +18,35 @@
 namespace nobl::dist {
 namespace {
 
+std::string errno_message(const std::string& what) {
+  return what + ": " + std::strerror(errno);
+}
+
 [[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
+  throw std::runtime_error(errno_message(what));
+}
+
+/// Turn Nagle's algorithm off on a tcp link. Left on, every superstep's
+/// frame-then-ack exchange waits out the peer's delayed-ACK timer.
+bool set_nodelay(int fd) {
+  const int one = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
+}
+
+/// Undo a tcp bring-up that failed after the first fork: close the open
+/// sockets (`fd` may be -1), kill and reap every child, throw `message`.
+[[noreturn]] void abort_tcp(const std::string& message, int listen_fd, int fd,
+                            const std::vector<::pid_t>& pids) {
+  if (fd >= 0) ::close(fd);
+  ::close(listen_fd);
+  for (const ::pid_t pid : pids) ::kill(pid, SIGKILL);
+  for (const ::pid_t pid : pids) {
+    ::pid_t got;
+    do {
+      got = ::waitpid(pid, nullptr, 0);
+    } while (got < 0 && errno == EINTR);
+  }
+  throw std::runtime_error(message);
 }
 
 void close_all(const std::vector<int>& fds) {
@@ -87,22 +116,22 @@ std::vector<WorkerLink> spawn_tcp(
   for (unsigned index = 0; index < workers; ++index) {
     const ::pid_t pid = ::fork();
     if (pid < 0) {
-      ::close(listen_fd);
-      for (const ::pid_t p : pids) ::kill(p, SIGKILL);
-      throw_errno("dist: fork()");
+      abort_tcp(errno_message("dist: fork()"), listen_fd, -1, pids);
     }
     if (pid == 0) {
       ::close(listen_fd);
       const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
       if (fd < 0) ::_exit(3);
       if (::connect(fd, reinterpret_cast<const sockaddr*>(&bound),
-                    sizeof(bound)) != 0) {
+                    sizeof(bound)) != 0 ||
+          !set_nodelay(fd)) {
         ::_exit(3);
       }
       // Hello frame: the worker index, so the coordinator can map the
       // accepted connection back to a VP cluster regardless of accept order.
-      const std::uint32_t hello = index;
-      if (!io::send_all(fd, &hello, sizeof(hello))) ::_exit(3);
+      std::uint8_t hello[sizeof(std::uint32_t)] = {};
+      put_le<std::uint32_t>(hello, index);
+      if (!io::send_all(fd, hello, sizeof(hello))) ::_exit(3);
       FdChannel channel(fd);
       child_main(index, channel);
       ::_exit(0);
@@ -117,19 +146,20 @@ std::vector<WorkerLink> spawn_tcp(
       fd = ::accept(listen_fd, nullptr, nullptr);
     } while (fd < 0 && errno == EINTR);
     if (fd < 0) {
-      ::close(listen_fd);
-      for (const ::pid_t p : pids) ::kill(p, SIGKILL);
-      throw_errno("dist: accept()");
+      abort_tcp(errno_message("dist: accept()"), listen_fd, -1, pids);
     }
-    std::uint32_t hello = 0;
-    if (!io::recv_exact(fd, &hello, sizeof(hello)) || hello >= workers ||
-        links[hello].channel != nullptr) {
-      ::close(fd);
-      ::close(listen_fd);
-      for (const ::pid_t p : pids) ::kill(p, SIGKILL);
-      throw std::runtime_error("dist: bad worker hello on tcp transport");
+    if (!set_nodelay(fd)) {
+      abort_tcp(errno_message("dist: setsockopt(TCP_NODELAY)"), listen_fd, fd,
+                pids);
     }
-    links[hello] = WorkerLink{pids[hello], std::make_unique<FdChannel>(fd)};
+    std::uint8_t hello[sizeof(std::uint32_t)] = {};
+    const std::uint32_t worker = io::recv_exact(fd, hello, sizeof(hello))
+                                     ? get_le<std::uint32_t>(hello)
+                                     : workers;
+    if (worker >= workers || links[worker].channel != nullptr) {
+      abort_tcp("dist: bad worker hello on tcp transport", listen_fd, fd, pids);
+    }
+    links[worker] = WorkerLink{pids[worker], std::make_unique<FdChannel>(fd)};
   }
   ::close(listen_fd);
   return links;

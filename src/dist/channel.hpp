@@ -10,12 +10,18 @@
 //   kTcp  — loopback TCP: the coordinator listens on 127.0.0.1:0, each
 //     forked worker connects and identifies itself with a one-word hello.
 //     The same frames flow over a real network stack, so this is the
-//     stepping stone to genuinely remote workers.
+//     stepping stone to genuinely remote workers. Both ends set
+//     TCP_NODELAY: a superstep is one small frame answered by a 1-byte ack,
+//     which is exactly the pattern where Nagle's algorithm meets the
+//     peer's delayed ACK and stalls every exchange on a kernel timer.
 //
 // Both reduce to FdChannel over util/fd_io, so EINTR and partial reads /
-// writes are absorbed below the protocol layer.
+// writes are absorbed below the protocol layer. Every integer on the wire
+// is little-endian, whatever the host's byte order, and goes through the
+// put_le / get_le pair below.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -36,6 +42,24 @@ enum class Transport : std::uint8_t { kFork, kTcp };
 /// Inverse of to_string; throws std::invalid_argument listing the valid
 /// names on a miss.
 [[nodiscard]] Transport transport_from_string(const std::string& name);
+
+/// Encode `value` as sizeof(UInt) little-endian bytes at `out`.
+template <std::unsigned_integral UInt>
+void put_le(std::uint8_t* out, UInt value) {
+  for (std::size_t i = 0; i < sizeof(UInt); ++i) {
+    out[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+/// Decode sizeof(UInt) little-endian bytes at `in`.
+template <std::unsigned_integral UInt>
+[[nodiscard]] UInt get_le(const std::uint8_t* in) {
+  UInt value = 0;
+  for (std::size_t i = 0; i < sizeof(UInt); ++i) {
+    value |= static_cast<UInt>(static_cast<UInt>(in[i]) << (8 * i));
+  }
+  return value;
+}
 
 /// A reliable bidirectional byte stream to one peer. The coordinator and
 /// worker protocols are written against this interface only.

@@ -4,15 +4,23 @@
 // RecordBackend's schedule event for event, worker-side validation failures
 // must surface in the coordinator with their original exception type, and
 // the measured wall-clock column must line up with the trace's supersteps.
+// The wire itself is pinned too: one little-endian frame per superstep,
+// tcp within a constant of fork, and no child left when a worker dies.
 #include "dist/backend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "bsp/backend.hpp"
 #include "core/registry.hpp"
@@ -186,6 +194,119 @@ TEST(Distributed, SparseAndRangedSuperstepsMergeLikeTheReference) {
   const Trace distributed = run_for_trace<std::uint64_t>(8, options, program);
   expect_traces_identical(distributed, reference);
   expect_schedules_identical(merged, recorded);
+}
+
+/// A Channel that records every send and answers every recv with acks, so
+/// a worker-side backend can be driven without a coordinator.
+class RecordingChannel final : public dist::Channel {
+ public:
+  bool send(const void* data, std::size_t len) override {
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
+    sends.emplace_back(bytes, bytes + len);
+    return true;
+  }
+  bool recv(void* data, std::size_t len) override {
+    std::memset(data, 'A', len);
+    ++recvs;
+    return true;
+  }
+
+  std::vector<std::vector<std::uint8_t>> sends;
+  int recvs = 0;
+};
+
+TEST(Distributed, EachFrameIsOneLittleEndianWrite) {
+  RecordingChannel channel;
+  dist::DistributedBackend backend(8, 0, 4, &channel);
+
+  backend.superstep(1, [](auto& vp) {
+    if (vp.id() == 0) vp.send(1, 0);
+    if (vp.id() == 1) vp.send_dummy(0, 5);
+    if (vp.id() == 3) vp.send_dummy(2, 0x0102);
+  });
+  std::vector<std::uint8_t> block;
+  const auto row = [&block](std::initializer_list<std::uint8_t> bytes) {
+    block.insert(block.end(), bytes);
+  };
+  // Header: kind 'B', aux = label 1, length = 3 events.
+  row({'B', 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0});
+  // src column: 0, 1, 3.
+  row({0, 0, 0, 0, 0, 0, 0, 0});
+  row({1, 0, 0, 0, 0, 0, 0, 0});
+  row({3, 0, 0, 0, 0, 0, 0, 0});
+  // dst column: 1, 0, 2.
+  row({1, 0, 0, 0, 0, 0, 0, 0});
+  row({0, 0, 0, 0, 0, 0, 0, 0});
+  row({2, 0, 0, 0, 0, 0, 0, 0});
+  // count column: 1, 5, 0x0102.
+  row({1, 0, 0, 0, 0, 0, 0, 0});
+  row({5, 0, 0, 0, 0, 0, 0, 0});
+  row({2, 1, 0, 0, 0, 0, 0, 0});
+  // Dummy bitmap: events 1 and 2 are dummies.
+  row({6, 0, 0, 0, 0, 0, 0, 0});
+  ASSERT_EQ(channel.sends.size(), 1u);
+  EXPECT_EQ(channel.sends[0], block);
+  EXPECT_EQ(channel.recvs, 1);
+
+  // An empty superstep after a full one: the reused buffers carry nothing
+  // over, the frame is a bare header with every byte but the kind zero.
+  backend.superstep(0, [](auto&) {});
+  std::vector<std::uint8_t> header(13, 0);
+  header[0] = 'B';
+  ASSERT_EQ(channel.sends.size(), 2u);
+  EXPECT_EQ(channel.sends[1], header);
+  EXPECT_EQ(channel.recvs, 2);
+
+  // The done frame: the same bare header under kind 'D', and no ack.
+  backend.finish();
+  header[0] = 'D';
+  ASSERT_EQ(channel.sends.size(), 3u);
+  EXPECT_EQ(channel.sends[2], header);
+  EXPECT_EQ(channel.recvs, 2);
+}
+
+TEST(Distributed, TcpStaysWithinAConstantOfFork) {
+  // 256 small supersteps, each one frame and one ack per worker: the
+  // exchange a Nagle / delayed-ACK stall holds for tens of milliseconds.
+  const auto program = [](dist::DistributedBackend& bk) {
+    for (unsigned s = 0; s < 256; ++s) {
+      bk.superstep(s % 3, [](auto& vp) { vp.send_dummy(vp.id() ^ 1); });
+    }
+  };
+  const auto total_ms = [&](dist::Transport transport) {
+    dist::Measurement measurement;
+    (void)dist::run_distributed(8, dist::DistConfig{2, transport},
+                                &measurement, nullptr, program);
+    EXPECT_EQ(measurement.superstep_ms.size(), 256u);
+    return measurement.total_ms;
+  };
+  const double fork_ms = total_ms(dist::Transport::kFork);
+  const double tcp_ms = total_ms(dist::Transport::kTcp);
+  EXPECT_LE(tcp_ms, 10.0 * fork_ms + 500.0)
+      << "tcp " << tcp_ms << " ms vs fork " << fork_ms << " ms";
+}
+
+TEST(Distributed, WorkerDeathMidSuperstepThrowsAndLeavesNoChild) {
+  const auto program = [](dist::DistributedBackend& bk) {
+    bk.superstep(0, [](auto&) {});
+    bk.superstep(0, [](auto& vp) {
+      if (vp.id() == 4) ::_exit(7);  // worker 1 of 2 owns VPs 4..7
+    });
+    bk.superstep(0, [](auto&) {});
+  };
+  for (const dist::Transport transport :
+       {dist::Transport::kFork, dist::Transport::kTcp}) {
+    SCOPED_TRACE(dist::to_string(transport));
+    const dist::DistConfig config{2, transport};
+    const auto run = [&] {
+      (void)dist::run_distributed(8, config, nullptr, nullptr, program);
+    };
+    EXPECT_THROW(run(), std::runtime_error);
+    int status = 0;
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
+  }
 }
 
 TEST(Distributed, TransportNamesRoundTrip) {
