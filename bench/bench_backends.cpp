@@ -3,7 +3,7 @@
 // The same program — a dense all-to-all, the densest 0-superstep M(v) can
 // express — is driven through the three executing backends:
 //
-//   simulate  full M(v) machine: payload staging, CSR delivery, inboxes
+//   simulate  full M(v) machine: payload staging, delivery, inboxes
 //   cost      DegreeAccumulator bucketing only (no payloads, no delivery)
 //   record    cost + schedule capture (one event per send)
 //

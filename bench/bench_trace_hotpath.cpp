@@ -1,12 +1,14 @@
-// Trace hot-path microbenchmarks: per-message degree accounting, sync-time
-// CSR delivery, and the cached O(1) cost queries. Every paper metric is a
-// pure function of the trace, so these three costs gate every experiment
-// sweep in the suite.
+// Trace hot-path microbenchmarks: per-message degree accounting and the
+// per-superstep close, sync-time delivery, and the cached O(1) cost
+// queries. Every paper metric is a pure function of the trace, so these
+// three costs gate every experiment sweep in the suite.
 //
 // main() first prints a fast-vs-reference accumulator throughput table on
-// dense all-to-all and matmul-shaped message storms (the acceptance
-// workloads), then hands over to google-benchmark for messages/sec and
-// certify-sweep latency timings.
+// dense all-to-all, matmul-shaped and deep-sparse-cluster message storms
+// (the acceptance workloads), then hands over to google-benchmark for
+// messages/sec and certify-sweep latency timings. It exits 1 when the fast
+// and reference accumulators record different SuperstepRecords on any
+// storm, so a run doubles as an equality check.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -32,10 +34,12 @@ struct Storm {
   std::uint64_t src;
   std::uint64_t dst;
 };
+/// A message storm, one message list per superstep.
+using Storms = std::vector<std::vector<Storm>>;
 
 /// Dense all-to-all: every VP messages every VP (self-messages included) —
 /// the densest 0-superstep M(v) can express, v² messages.
-std::vector<Storm> dense_all_to_all(std::uint64_t v) {
+Storms dense_all_to_all(std::uint64_t v) {
   std::vector<Storm> msgs;
   msgs.reserve(v * v);
   for (std::uint64_t src = 0; src < v; ++src) {
@@ -43,13 +47,13 @@ std::vector<Storm> dense_all_to_all(std::uint64_t v) {
       msgs.push_back(Storm{src, dst});
     }
   }
-  return msgs;
+  return {msgs};
 }
 
 /// Matmul-shaped storm: the §4.1 recursion's communication silhouette on the
 /// √v × √v VP grid — every VP exchanges with its row (A replication) and its
 /// column (C reduction) — without the arithmetic. 2·v·√v messages.
-std::vector<Storm> matmul_storm(std::uint64_t v) {
+Storms matmul_storm(std::uint64_t v) {
   const std::uint64_t m = sqrt_pow2(v);
   std::vector<Storm> msgs;
   msgs.reserve(2 * v * m);
@@ -61,52 +65,100 @@ std::vector<Storm> matmul_storm(std::uint64_t v) {
       msgs.push_back(Storm{r, k * m + col});
     }
   }
-  return msgs;
+  return {msgs};
 }
 
+/// Deep sparse cluster storm: one superstep per 128-VP cluster, in which
+/// only that cluster's VPs talk — each to four peers inside it at distances
+/// 1, 2, 3 and 64 — the shape of stencil2's level-2 supersteps (128 active
+/// VPs of 4096). v/128 supersteps of 512 messages each; the per-superstep
+/// close, not the per-message count, dominates.
+Storms deep_sparse_cluster(std::uint64_t v) {
+  constexpr std::uint64_t kCluster = 128;
+  Storms steps;
+  for (std::uint64_t base = 0; base < v; base += kCluster) {
+    std::vector<Storm> msgs;
+    for (std::uint64_t r = 0; r < kCluster; ++r) {
+      for (const std::uint64_t d : {1u, 2u, 3u, 64u}) {
+        msgs.push_back(Storm{base + r, base + (r + d) % kCluster});
+      }
+    }
+    steps.push_back(std::move(msgs));
+  }
+  return steps;
+}
+
+std::uint64_t message_count(const Storms& steps) {
+  std::uint64_t total = 0;
+  for (const auto& msgs : steps) total += msgs.size();
+  return total;
+}
+
+/// Count and close every superstep of `steps` `reps` times; returns
+/// messages/s and leaves the last repetition's records in `records`.
 template <typename Accumulator>
-double messages_per_second(unsigned log_v, const std::vector<Storm>& msgs,
-                           unsigned reps) {
+double messages_per_second(unsigned log_v, const Storms& steps, unsigned reps,
+                           std::vector<SuperstepRecord>& records) {
   Accumulator acc(log_v);
-  SuperstepRecord rec;
-  rec.degree.assign(log_v + 1u, 0);
+  records.assign(steps.size(), SuperstepRecord{});
+  for (SuperstepRecord& rec : records) rec.degree.assign(log_v + 1u, 0);
   const auto t0 = std::chrono::steady_clock::now();
   for (unsigned rep = 0; rep < reps; ++rep) {
-    for (const Storm& s : msgs) acc.count(s.src, s.dst, 1);
-    acc.finalize_into(rec);
-    benchmark::DoNotOptimize(rec.degree.data());
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+      for (const Storm& s : steps[k]) acc.count(s.src, s.dst, 1);
+      acc.finalize_into(records[k]);
+      benchmark::DoNotOptimize(records[k].degree.data());
+    }
   }
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
-  return static_cast<double>(msgs.size()) * reps / dt.count();
+  return static_cast<double>(message_count(steps)) * reps / dt.count();
 }
 
-void storm_table(const std::string& title, const std::string& shape,
+/// Prints the throughput table; returns false when the fast accumulator's
+/// records differ from the reference's on any storm.
+bool storm_table(const std::string& title, const std::string& shape,
                  const std::vector<std::uint64_t>& sizes,
-                 std::vector<Storm> (*storm)(std::uint64_t)) {
-  Table t(title, {"v", "messages/superstep", "reference msg/s", "fast msg/s",
-                  "speedup"});
+                 Storms (*storm)(std::uint64_t)) {
+  Table t(title, {"v", "supersteps", "messages/superstep", "reference msg/s",
+                  "fast msg/s", "speedup"});
+  bool agree = true;
   for (const std::uint64_t v : sizes) {
     const unsigned log_v = log2_exact(v);
-    const auto msgs = storm(v);
+    const Storms steps = storm(v);
+    const std::uint64_t messages = message_count(steps);
     // Aim for a few million messages per measurement.
-    const auto reps =
-        static_cast<unsigned>(2'000'000 / msgs.size() + 1);
+    const auto reps = static_cast<unsigned>(2'000'000 / messages + 1);
+    std::vector<SuperstepRecord> ref_records;
+    std::vector<SuperstepRecord> fast_records;
     // Warm both paths once so allocation noise stays out of the timing.
-    (void)messages_per_second<ReferenceDegreeAccumulator>(log_v, msgs, 1);
-    (void)messages_per_second<DegreeAccumulator>(log_v, msgs, 1);
-    const double ref =
-        messages_per_second<ReferenceDegreeAccumulator>(log_v, msgs, reps);
-    const double fast =
-        messages_per_second<DegreeAccumulator>(log_v, msgs, reps);
+    (void)messages_per_second<ReferenceDegreeAccumulator>(log_v, steps, 1,
+                                                          ref_records);
+    (void)messages_per_second<DegreeAccumulator>(log_v, steps, 1,
+                                                 fast_records);
+    const double ref = messages_per_second<ReferenceDegreeAccumulator>(
+        log_v, steps, reps, ref_records);
+    const double fast = messages_per_second<DegreeAccumulator>(
+        log_v, steps, reps, fast_records);
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+      if (fast_records[k].degree != ref_records[k].degree ||
+          fast_records[k].messages != ref_records[k].messages) {
+        std::cerr << "MISMATCH: " << shape << " v=" << v << " superstep " << k
+                  << ": fast and reference records differ\n";
+        agree = false;
+        break;
+      }
+    }
     t.row()
         .add(v)
-        .add(static_cast<std::uint64_t>(msgs.size()))
+        .add(static_cast<std::uint64_t>(steps.size()))
+        .add(messages / steps.size())
         .add(ref)
         .add(fast)
         .add(fast / ref);
   }
   std::cout << "[" << shape << "]\n" << t;
+  return agree;
 }
 
 /// A long synthetic trace for the query-latency benchmarks: labels and
@@ -125,14 +177,19 @@ Trace synthetic_trace(unsigned log_v, std::size_t supersteps) {
   return t;
 }
 
-void report() {
+/// Returns false when any storm's fast and reference records differ.
+bool report() {
   benchx::banner(
       "Trace hot path: O(1)-per-message accounting vs fold-per-message "
       "reference");
-  storm_table("dense all-to-all message storm", "dense all-to-all",
-              {16, 64, 256}, dense_all_to_all);
-  storm_table("matmul-shaped message storm (row + column exchange)",
-              "matmul-shaped", {16, 64, 256, 1024}, matmul_storm);
+  bool agree = storm_table("dense all-to-all message storm",
+                           "dense all-to-all", {16, 64, 256},
+                           dense_all_to_all);
+  agree &= storm_table("matmul-shaped message storm (row + column exchange)",
+                       "matmul-shaped", {16, 64, 256, 1024}, matmul_storm);
+  agree &= storm_table(
+      "deep sparse cluster storm (one 128-VP cluster per superstep)",
+      "deep sparse cluster", {1024, 4096, 65536}, deep_sparse_cluster);
 
   benchx::banner("certify_optimality sweep latency on a long trace");
   Table t("certify sweep over folds x sigma grid",
@@ -152,13 +209,14 @@ void report() {
     t.row().add(static_cast<std::uint64_t>(steps)).add(kSweeps / dt.count());
   }
   std::cout << t;
+  return agree;
 }
 
 template <typename Accumulator>
 void BM_DegreeDenseAllToAll(benchmark::State& state) {
   const auto v = static_cast<std::uint64_t>(state.range(0));
   const unsigned log_v = log2_exact(v);
-  const auto msgs = dense_all_to_all(v);
+  const auto msgs = dense_all_to_all(v).front();
   Accumulator acc(log_v);
   SuperstepRecord rec;
   rec.degree.assign(log_v + 1u, 0);
@@ -181,7 +239,7 @@ template <typename Accumulator>
 void BM_DegreeMatmulStorm(benchmark::State& state) {
   const auto v = static_cast<std::uint64_t>(state.range(0));
   const unsigned log_v = log2_exact(v);
-  const auto msgs = matmul_storm(v);
+  const auto msgs = matmul_storm(v).front();
   Accumulator acc(log_v);
   SuperstepRecord rec;
   rec.degree.assign(log_v + 1u, 0);
@@ -198,7 +256,29 @@ BENCHMARK_TEMPLATE(BM_DegreeMatmulStorm, ReferenceDegreeAccumulator)
     ->Arg(64)
     ->Arg(1024);
 
-/// Full-engine storm: accounting + cluster checks + CSR delivery at the sync.
+template <typename Accumulator>
+void BM_DegreeDeepSparseCluster(benchmark::State& state) {
+  const auto v = static_cast<std::uint64_t>(state.range(0));
+  const unsigned log_v = log2_exact(v);
+  const Storms steps = deep_sparse_cluster(v);
+  Accumulator acc(log_v);
+  SuperstepRecord rec;
+  rec.degree.assign(log_v + 1u, 0);
+  for (auto _ : state) {
+    for (const auto& msgs : steps) {
+      for (const Storm& s : msgs) acc.count(s.src, s.dst, 1);
+      acc.finalize_into(rec);
+      benchmark::DoNotOptimize(rec.degree.data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(message_count(steps)));
+}
+BENCHMARK_TEMPLATE(BM_DegreeDeepSparseCluster, DegreeAccumulator)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_DegreeDeepSparseCluster, ReferenceDegreeAccumulator)
+    ->Arg(4096);
+
+/// Full-engine storm: accounting + cluster checks + delivery at the sync.
 void BM_MachineDenseAllToAll(benchmark::State& state) {
   const auto v = static_cast<std::uint64_t>(state.range(0));
   constexpr unsigned kSupersteps = 4;
@@ -236,8 +316,8 @@ BENCHMARK(BM_CertifySweep)->Arg(4096)->Arg(65536);
 }  // namespace nobl
 
 int main(int argc, char** argv) {
-  nobl::report();
+  const bool agree = nobl::report();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return agree ? 0 : 1;
 }

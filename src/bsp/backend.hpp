@@ -48,6 +48,7 @@
 // runs under SimulateBackend, and vice versa.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -243,13 +244,13 @@ class CostBackend {
   static constexpr bool delivers = false;
 
   /// The VpContext handle for counting backends. The hot per-send state
-  /// (machine size, cluster shift, accumulator, capture sink) is cached in
-  /// the handle at construction, and the send half of the degree stream is
-  /// batched per source VP — every send of one VP shares its src, so the
-  /// sent-side buckets and the message total accumulate on the stack and
-  /// flush into the DegreeAccumulator once per VP (commit(), called by the
-  /// superstep driver). The resulting accumulator state is bit-identical
-  /// to per-message counting; only the constant factor changes.
+  /// (machine size, cluster shift, the accumulator's node arrays, capture
+  /// sink) is cached in the handle at construction. Each send bumps the
+  /// receiver's leaf and the endpoints' split node in place; the send half
+  /// shares its src across the VP's sends, so it accumulates in one
+  /// `cross_` counter and flushes into the DegreeAccumulator once per VP
+  /// (commit(), called by the superstep driver). The resulting accumulator
+  /// state is bit-identical to per-message counting.
   template <bool kCapture>
   class VpRefT {
    public:
@@ -265,8 +266,11 @@ class CostBackend {
       if (dst >= v_ || ((id_ ^ dst) >> breach_shift_) != 0) [[unlikely]] {
         backend_->fail_send(id_, dst);
       }
-      ++messages_;
-      if (dst != id_) bucket(dst, 1);
+      if (dst != id_) {
+        bucket(dst, 1);
+      } else {
+        ++local_;
+      }
       if constexpr (kCapture) {
         capture_->steps.back().push(id_, dst, 1, false);
       }
@@ -276,8 +280,11 @@ class CostBackend {
       if (dst >= v_ || ((id_ ^ dst) >> breach_shift_) != 0) [[unlikely]] {
         backend_->fail_send(id_, dst);
       }
-      messages_ += count;
-      if (dst != id_) bucket(dst, count);
+      if (dst != id_) {
+        bucket(dst, count);
+      } else {
+        local_ += count;
+      }
       if constexpr (kCapture) {
         capture_->steps.back().push(id_, dst, count, true);
       }
@@ -291,47 +298,42 @@ class CostBackend {
           capture_(backend->capture_),
           active_data_(backend->acc_.active_data()),
           recv_data_(backend->acc_.recv_data()),
+          split_data_(backend->acc_.split_data()),
           id_(id),
           v_(backend->v_),
           log_v_(backend->log_v_),
           breach_shift_(backend->breach_shift_) {}
 
     void bucket(std::uint64_t dst, std::uint64_t count) {
-      // The endpoints share cb most-significant bits (cf.
-      // DegreeAccumulator::count); receive side goes straight to the
-      // accumulator's lanes (raw pointers cached at construction — the
-      // lanes are pre-sized by begin_superstep), send side into the local
-      // per-src buckets.
-      const auto cb = static_cast<unsigned>(
-          log_v_ - static_cast<unsigned>(std::bit_width(id_ ^ dst)));
-      if (((dirty_ >> cb) & 1) == 0) {
-        sent_[cb] = 0;
-        dirty_ |= std::uint64_t{1} << cb;
+      // The receive and split halves of DegreeAccumulator::count(), through
+      // raw node pointers cached at construction (contract on
+      // DegreeAccumulator::active_data()).
+      cross_ += count;
+      const std::uint64_t leaf = v_ + dst;
+      if (active_data_[leaf] == 0) [[unlikely]] {
+        active_data_[leaf] = 1;
+        acc_->note_touched(leaf);
       }
-      sent_[cb] += count;
-      if (active_data_[dst] == 0) [[unlikely]] {
-        active_data_[dst] = 1;
-        acc_->note_touched(dst);
-      }
-      recv_data_[(static_cast<std::size_t>(cb) << log_v_) + dst] += count;
+      recv_data_[leaf] += count;
+      split_data_[(v_ + id_) >> std::bit_width(id_ ^ dst)] += count;
     }
 
     /// Flush the batched send half; the driver calls this exactly once,
     /// after the body returns.
-    void commit() { acc_->flush_sent(id_, dirty_, sent_, messages_); }
+    void commit() { acc_->flush_sent(id_, cross_, local_); }
 
     CostBackend* backend_;
     DegreeAccumulator* acc_;
     Schedule* capture_;
     std::uint8_t* active_data_;
     std::uint64_t* recv_data_;
+    std::uint64_t* split_data_;
     std::uint64_t id_;
     std::uint64_t v_;
     unsigned log_v_;
     unsigned breach_shift_;
-    std::uint64_t messages_ = 0;
-    std::uint64_t dirty_ = 0;  ///< bit cb set iff sent_[cb] is live
-    std::uint64_t sent_[64];   ///< per-crossing-level send counts (lazy init)
+    std::uint64_t cross_ = 0;  ///< messages sent to other VPs
+    std::uint64_t local_ = 0;  ///< messages sent to itself
   };
 
   /// Create a counting backend for M(v). v must be a power of two.
@@ -427,7 +429,6 @@ class CostBackend {
     // in any of the top label_ bits: (src ^ dst) >> breach_shift_ != 0.
     // Precomputing the shift keeps the per-send check to xor + shift.
     breach_shift_ = log_v_ - label;
-    acc_.ensure_lanes();
     record_.label = label;
     record_.degree.assign(log_v_ + 1, 0);
     if (capture_ != nullptr) capture_->steps.emplace_back(label);

@@ -10,9 +10,10 @@
 //   * runs the superstep body once per virtual processor (in index order
 //     under the sequential engine; see below for the parallel engine),
 //   * routes real message payloads into the recipients' next-superstep
-//     inboxes (delivery order = sender index, then send order; delivery is
-//     CSR-style two-pass — count per destination, reserve once, fill — so
-//     the sync never reallocates mid-merge),
+//     inboxes (delivery order = sender index, then send order; delivery
+//     walks only the VPs that sent and the inboxes they fill, two-pass —
+//     count per destination, reserve once, fill — so the sync never
+//     reallocates mid-merge and costs the traffic, not v),
 //   * enforces the cluster-containment rule (ClusterViolation on breach),
 //   * records the exact degree of the superstep at every folding 2^j
 //     (see bsp/trace.hpp), including "dummy" messages — the paper's device
@@ -149,6 +150,7 @@ class Machine {
     const unsigned lanes = pool_ ? pool_->size() : 1;
     lanes_.reserve(lanes);
     for (unsigned w = 0; w < lanes; ++w) lanes_.emplace_back(log_v_);
+    senders_.resize(lanes);
   }
 
   [[nodiscard]] std::uint64_t v() const noexcept { return v_; }
@@ -256,6 +258,7 @@ class Machine {
       for (std::uint64_t pos = 0; pos < count; ++pos) {
         Vp<Payload> vp(this, id_of(pos), 0);
         body(vp);
+        note_sender(vp);
       }
       return;
     }
@@ -274,6 +277,7 @@ class Machine {
         try {
           Vp<Payload> vp(this, id_of(pos), w);
           body(vp);
+          note_sender(vp);
         } catch (...) {
           error_pos[w] = pos;
           error[w] = std::current_exception();
@@ -292,6 +296,12 @@ class Machine {
     if (first != workers) std::rethrow_exception(error[first]);
   }
 
+  /// After vp's body: list it for delivery if it staged a send. Once per
+  /// VP, not per send: a per-send check measurably slows dense supersteps.
+  void note_sender(const Vp<Payload>& vp) {
+    if (!outbox_[vp.id_].empty()) senders_[vp.lane_].push_back(vp.id_);
+  }
+
   void end_superstep() {
     // Fold the worker lanes' degree counters into lane 0 (commutative sums,
     // so the result is independent of how VPs were scheduled), then turn
@@ -301,26 +311,35 @@ class Machine {
     trace_.append(std::move(record_));
     record_ = SuperstepRecord{};
 
-    // Deliver: staged sends become the next superstep's inboxes, merged in
-    // ascending sender index (each outbox already holds its sender's
-    // messages in send order). CSR-style two-pass: count per-destination
-    // sizes so every inbox grows exactly once (no geometric reallocation on
-    // the delivery path), then fill in the same ascending-sender order the
-    // per-message push_back used — delivery order is byte-identical.
-    std::fill(inbox_count_.begin(), inbox_count_.end(), 0);
-    for (std::uint64_t r = 0; r < v_; ++r) {
-      for (const Staged& s : outbox_[r]) ++inbox_count_[s.dst];
+    // Deliver: staged sends become the next superstep's inboxes. Only the
+    // VPs that staged a send are walked — each lane lists its senders in
+    // ascending index and the lanes hold ascending chunks, so the lanes in
+    // order give ascending sender order (each outbox already holds its
+    // sender's messages in send order). Two passes: count per-destination
+    // sizes so every inbox grows exactly once, then fill. Only the inboxes
+    // the previous sync filled need clearing; the rest are empty.
+    for (const std::uint64_t r : filled_) inbox_[r].clear();
+    filled_.clear();
+    for (const auto& senders : senders_) {
+      for (const std::uint64_t r : senders) {
+        for (const Staged& s : outbox_[r]) {
+          if (inbox_count_[s.dst]++ == 0) filled_.push_back(s.dst);
+        }
+      }
     }
-    for (std::uint64_t r = 0; r < v_; ++r) {
-      inbox_[r].clear();
+    for (const std::uint64_t r : filled_) {
       inbox_[r].reserve(inbox_count_[r]);
       peak_inbox_ = std::max(peak_inbox_, inbox_count_[r]);
+      inbox_count_[r] = 0;
     }
-    for (std::uint64_t r = 0; r < v_; ++r) {
-      for (Staged& s : outbox_[r]) {
-        inbox_[s.dst].push_back(MessageT{r, std::move(s.data)});
+    for (auto& senders : senders_) {
+      for (const std::uint64_t r : senders) {
+        for (Staged& s : outbox_[r]) {
+          inbox_[s.dst].push_back(MessageT{r, std::move(s.data)});
+        }
+        outbox_[r].clear();
       }
-      outbox_[r].clear();
+      senders.clear();
     }
     in_superstep_ = false;
   }
@@ -363,11 +382,17 @@ class Machine {
   /// outbox_[r]: messages VP r staged this superstep, in send order. Only
   /// the owning VP touches it during the body; the sync merges and clears.
   std::vector<std::vector<Staged>> outbox_;
-  /// Per-destination delivery sizes, recomputed each sync (CSR first pass).
+  /// Per-destination delivery sizes of the running sync (first pass);
+  /// zero again once the sync is done.
   std::vector<std::uint64_t> inbox_count_;
+  /// VPs whose inbox the last sync filled, in first-delivery order.
+  std::vector<std::uint64_t> filled_;
 
   std::unique_ptr<WorkerPool> pool_;  ///< null under the sequential engine
   std::vector<DegreeAccumulator> lanes_;  ///< one per worker (1 if sequential)
+  /// senders_[w]: VPs run by lane w that staged a send this superstep, in
+  /// ascending index (note_sender appends each after its body).
+  std::vector<std::vector<std::uint64_t>> senders_;
 
   bool in_superstep_ = false;
   unsigned label_ = 0;

@@ -4,37 +4,36 @@
 
 namespace nobl {
 
-DegreeAccumulator::DegreeAccumulator(unsigned log_v) : log_v_(log_v) {}
-
-void DegreeAccumulator::allocate_lanes() {
-  const std::size_t v = std::size_t{1} << log_v_;
-  sent_fine_.assign(v * log_v_, 0);
-  recv_fine_.assign(v * log_v_, 0);
-  active_.assign(v, 0);
-  // The cluster scratch stays unallocated here: under the parallel engine
-  // every lane counts, but only lane 0 (the absorb target) ever finalizes,
-  // so finalize_into sizes it on first use instead.
-}
+DegreeAccumulator::DegreeAccumulator(unsigned log_v)
+    : log_v_(log_v),
+      v_(std::uint64_t{1} << log_v),
+      sent_(2 * v_, 0),
+      recv_(2 * v_, 0),
+      split_(v_, 0),
+      active_(2 * v_, 0) {}
 
 void DegreeAccumulator::absorb(DegreeAccumulator& other) {
   if (other.log_v_ != log_v_) {
     throw std::invalid_argument("DegreeAccumulator::absorb: fold mismatch");
   }
-  messages_ += other.messages_;
-  other.messages_ = 0;
-  if (!other.touched_.empty() && active_.empty()) allocate_lanes();
-  for (const std::uint64_t r : other.touched_) {
-    touch(r);
-    for (unsigned cb = 0; cb < log_v_; ++cb) {
-      const std::size_t idx = lane(cb) + r;
-      sent_fine_[idx] += other.sent_fine_[idx];
-      recv_fine_[idx] += other.recv_fine_[idx];
-      other.sent_fine_[idx] = 0;
-      other.recv_fine_[idx] = 0;
-    }
-    other.active_[r] = 0;
-  }
-  other.touched_.clear();
+  local_ += other.local_;
+  other.local_ = 0;
+  // Leaves carry the send/receive counts, internal nodes the split counts;
+  // every nonzero split lies on a path from a touched leaf to the root.
+  other.walk_touched(
+      [&](std::uint64_t n, unsigned j) {
+        if (j == log_v_) {
+          touch(n);
+          sent_[n] += other.sent_[n];
+          recv_[n] += other.recv_[n];
+          other.sent_[n] = 0;
+          other.recv_[n] = 0;
+        } else {
+          split_[n] += other.split_[n];
+          other.split_[n] = 0;
+        }
+      },
+      [](unsigned) {});
 }
 
 void DegreeAccumulator::finalize_into(SuperstepRecord& record) {
@@ -42,69 +41,36 @@ void DegreeAccumulator::finalize_into(SuperstepRecord& record) {
     throw std::invalid_argument(
         "DegreeAccumulator::finalize_into: degree vector size mismatch");
   }
-  // Prefix over crossing levels: after this pass, lane j-1 of VP r holds the
-  // number of messages r sent (received) that cross fold 2^j, i.e. the sum of
-  // its lanes with cb < j. (cb-major layout: row cb is contiguous; when the
-  // superstep touched every VP the rows are processed whole, without the
-  // touched_ indirection, which lets the loops vectorize.)
-  const std::size_t v = std::size_t{1} << log_v_;
-  const bool dense = touched_.size() == v;
-  for (unsigned cb = 1; cb < log_v_; ++cb) {
-    if (dense) {
-      for (std::size_t r = 0; r < v; ++r) {
-        sent_fine_[lane(cb) + r] += sent_fine_[lane(cb - 1) + r];
-        recv_fine_[lane(cb) + r] += recv_fine_[lane(cb - 1) + r];
-      }
-    } else {
-      for (const std::uint64_t r : touched_) {
-        sent_fine_[lane(cb) + r] += sent_fine_[lane(cb - 1) + r];
-        recv_fine_[lane(cb) + r] += recv_fine_[lane(cb - 1) + r];
-      }
-    }
-  }
-  if (!touched_.empty() && cluster_active_.empty()) {
-    cluster_sent_.assign(v, 0);
-    cluster_recv_.assign(v, 0);
-    cluster_active_.assign(v, 0);
-  }
-  // Per fold, reduce the touched VPs' prefixes onto their clusters and take
-  // the peak: h(2^j) = max over processors of max(sent, received).
-  for (unsigned j = 1; j <= log_v_; ++j) {
-    for (const std::uint64_t r : touched_) {
-      const std::uint64_t q = r >> (log_v_ - j);
-      if (!cluster_active_[q]) {
-        cluster_active_[q] = 1;
-        cluster_touched_.push_back(q);
-      }
-      cluster_sent_[q] += sent_fine_[lane(j - 1) + r];
-      cluster_recv_[q] += recv_fine_[lane(j - 1) + r];
-    }
-    std::uint64_t peak = 0;
-    for (const std::uint64_t q : cluster_touched_) {
-      peak = std::max(peak, std::max(cluster_sent_[q], cluster_recv_[q]));
-      cluster_sent_[q] = 0;
-      cluster_recv_[q] = 0;
-      cluster_active_[q] = 0;
-    }
-    cluster_touched_.clear();
-    record.degree[j] = peak;
-  }
-  if (dense) {
-    std::fill(sent_fine_.begin(), sent_fine_.end(), 0);
-    std::fill(recv_fine_.begin(), recv_fine_.end(), 0);
-    std::fill(active_.begin(), active_.end(), 0);
-  } else {
-    for (unsigned cb = 0; cb < log_v_; ++cb) {
-      for (const std::uint64_t r : touched_) {
-        sent_fine_[lane(cb) + r] = 0;
-        recv_fine_[lane(cb) + r] = 0;
-      }
-    }
-    for (const std::uint64_t r : touched_) active_[r] = 0;
-  }
-  touched_.clear();
-  record.messages = messages_;
-  messages_ = 0;
+  // Level j's S and R are complete once the level below has been added in:
+  // take their peak, hand them to the parents, zero the node. The root's
+  // S and R are exactly zero (no message leaves the machine), so it adds
+  // nothing to the unused slot 0. The leaves' S also sum to the superstep's
+  // crossing messages.
+  std::uint64_t messages = local_;
+  std::uint64_t peak = 0;
+  walk_touched(
+      [&](std::uint64_t n, unsigned j) {
+        std::uint64_t s = sent_[n];
+        std::uint64_t r = recv_[n];
+        sent_[n] = 0;
+        recv_[n] = 0;
+        if (j == log_v_) {
+          messages += s;
+        } else {
+          s -= split_[n];
+          r -= split_[n];
+          split_[n] = 0;
+        }
+        peak = std::max(peak, std::max(s, r));
+        sent_[n >> 1] += s;
+        recv_[n >> 1] += r;
+      },
+      [&](unsigned j) {
+        if (j != 0) record.degree[j] = peak;
+        peak = 0;
+      });
+  record.messages = messages;
+  local_ = 0;
 }
 
 void Trace::append(SuperstepRecord record) {

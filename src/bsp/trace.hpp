@@ -51,85 +51,71 @@ struct SuperstepRecord {
 /// one-lane special case, so both engines share one code path and produce
 /// bit-identical records by construction.
 ///
-/// Representation. A message src -> dst whose endpoints share exactly cb
-/// most-significant index bits crosses precisely the folds 2^j with j > cb,
-/// and at every such fold the sender's (receiver's) processor is the cluster
-/// containing src (dst). count() therefore buckets the message once, by its
-/// finest-fold endpoints and crossing level — sent_fine[src][cb] and
-/// recv_fine[dst][cb] — in O(1), instead of walking all log v folds.
-/// finalize_into() recovers h(2^j) for every fold at the closing sync with a
-/// prefix over crossing levels per touched VP followed by a bottom-up cluster
-/// reduction per fold: O(t · log v) for t touched VPs, independent of the
-/// number of messages counted. The historical fold-per-message implementation
+/// Representation: an implicit binary heap over the VP tree. Node
+/// (1 << j) + q is cluster q at fold 2^j, so leaf v + r is VP r, node 1 is
+/// the whole machine and the parent of any node n is n >> 1. count() charges
+/// a message src -> dst in O(1) to three nodes: sent[v + src],
+/// recv[v + dst], and split[(v + src) >> bit_width(src ^ dst)] — the
+/// endpoints' lowest common ancestor, the one cluster whose two halves the
+/// message joins. A cluster P with halves A and B then sends
+/// S(P) = S(A) + S(B) - split(P) messages across its boundary (likewise
+/// R for receives): the messages that cross between A and B leave a half
+/// but stay inside P.
+///
+/// finalize_into() walks the touched nodes bottom-up, one level at a time:
+/// h(2^j) is the max of max(S, R) over level j, each node's S and R are
+/// added into its parent, and each node is zeroed as the walk leaves it.
+/// For t touched VPs the walk visits Σ_j t_j <= 2t + t·log(v/t) nodes — it
+/// costs what the traffic touched, never v. The subtraction is modular u64
+/// arithmetic, so every S and R is the exact count modulo 2^64: the value
+/// a direct u64 sum holds. The historical fold-per-message implementation
 /// is retained as ReferenceDegreeAccumulator (bsp/degree_reference.hpp) and
 /// checked against this one by tests/bsp/test_degree_differential.cpp.
 class DegreeAccumulator {
  public:
-  DegreeAccumulator() = default;
   explicit DegreeAccumulator(unsigned log_v);
 
   /// Account `count` unit messages src -> dst at every fold that separates
   /// the endpoints. Self-messages only contribute to the message total.
-  /// O(1) per call (the per-fold work is deferred to finalize_into).
+  /// O(1) per call (the per-fold work is deferred to finalize_into). The
+  /// message total of crossing messages is summed from the leaves at
+  /// finalize, which keeps a store chain off this path.
   void count(std::uint64_t src, std::uint64_t dst, std::uint64_t count) {
-    messages_ += count;
-    if (src == dst) return;
-    if (active_.empty()) allocate_lanes();
-    // The endpoints share cb most-significant bits; folds with j > cb place
-    // them on different processors.
-    const unsigned cb =
-        log_v_ - static_cast<unsigned>(std::bit_width(src ^ dst));
-    touch(src);
-    touch(dst);
-    sent_fine_[lane(cb) + src] += count;
-    recv_fine_[lane(cb) + dst] += count;
-  }
-
-  /// Pre-size the fine lanes so the split hot path below may skip the lazy
-  /// allocation check. Idempotent; called once per superstep by drivers
-  /// that know their lane is used (the sequential counting backend).
-  void ensure_lanes() {
-    if (active_.empty()) allocate_lanes();
-  }
-
-  /// Split hot path (bsp/backend.hpp): the receive half of count() for one
-  /// message src -> dst with crossing level cb, where the caller batches
-  /// the send half per source VP and flushes it via flush_sent(). Requires
-  /// ensure_lanes(); self-messages must not be routed here. The final
-  /// accumulator state is bit-identical to per-message count() calls.
-  void count_recv(std::uint64_t dst, unsigned cb, std::uint64_t count) {
-    touch(dst);
-    recv_fine_[lane(cb) + dst] += count;
-  }
-
-  /// Raw lane access for drivers that inline the receive half (require
-  /// ensure_lanes(); see CostBackend::VpRef). The caller owns the contract
-  /// count_recv() implements: flag active_data()[r] and note_touched(r) on
-  /// the first touch of r, then bump recv_data()[(cb << log_v) + r].
-  [[nodiscard]] std::uint8_t* active_data() noexcept { return active_.data(); }
-  [[nodiscard]] std::uint64_t* recv_data() noexcept {
-    return recv_fine_.data();
-  }
-  void note_touched(std::uint64_t r) { touched_.push_back(r); }
-
-  /// Flush a source VP's batched send half: for every set bit cb of
-  /// `dirty`, `sent[cb]` messages with crossing level cb were sent by
-  /// `src`; `messages` is the VP's total (including self-traffic and
-  /// dummies). Requires ensure_lanes() when dirty != 0.
-  void flush_sent(std::uint64_t src, std::uint64_t dirty,
-                  const std::uint64_t* sent, std::uint64_t messages) {
-    messages_ += messages;
-    if (dirty == 0) return;
-    touch(src);
-    while (dirty != 0) {
-      const auto cb = static_cast<unsigned>(std::countr_zero(dirty));
-      dirty &= dirty - 1;
-      sent_fine_[lane(cb) + src] += sent[cb];
+    if (src == dst) {
+      local_ += count;
+      return;
     }
+    const std::uint64_t v = v_;  // one load: touch()'s byte stores may alias
+    touch(v + src);
+    touch(v + dst);
+    sent_[v + src] += count;
+    recv_[v + dst] += count;
+    split_[(v + src) >> std::bit_width(src ^ dst)] += count;
+  }
+
+  /// Raw node access for drivers that inline the receive and split halves of
+  /// count() (CostBackend::VpRefT). For a message src -> dst with
+  /// src != dst the caller flags active_data()[n] and note_touched(n) on the
+  /// first touch of leaf n = v + dst, bumps recv_data()[n] and
+  /// split_data()[(v + src) >> bit_width(src ^ dst)], and hands the
+  /// sender's totals to flush_sent().
+  [[nodiscard]] std::uint8_t* active_data() noexcept { return active_.data(); }
+  [[nodiscard]] std::uint64_t* recv_data() noexcept { return recv_.data(); }
+  [[nodiscard]] std::uint64_t* split_data() noexcept { return split_.data(); }
+  void note_touched(std::uint64_t n) { touched_.push_back(n); }
+
+  /// Flush a source VP's send half: `cross` messages sent by `src` to other
+  /// VPs and `local` to itself (dummies included in both).
+  void flush_sent(std::uint64_t src, std::uint64_t cross,
+                  std::uint64_t local) {
+    local_ += local;
+    if (cross == 0) return;
+    touch(v_ + src);
+    sent_[v_ + src] += cross;
   }
 
   /// Fold `other` into this accumulator, resetting `other` for reuse.
-  /// O(t · log v) for t VPs touched in `other`.
+  /// Walks the nodes touched in `other`, like finalize_into.
   void absorb(DegreeAccumulator& other);
 
   /// Write degree[j] = h(2^j) for every j >= 1 and the message total into
@@ -137,46 +123,52 @@ class DegreeAccumulator {
   /// `record.degree` must be pre-sized to log_v + 1 with degree[0] == 0.
   void finalize_into(SuperstepRecord& record);
 
-  [[nodiscard]] std::uint64_t messages() const noexcept { return messages_; }
-
  private:
-  void touch(std::uint64_t r) {
-    if (!active_[r]) {
-      active_[r] = 1;
-      touched_.push_back(r);
+  void touch(std::uint64_t n) {
+    if (!active_[n]) {
+      active_[n] = 1;
+      touched_.push_back(n);
     }
   }
 
-  /// Cold path of count(): size the fine lanes on the first real message, so
-  /// lanes that only ever see self-traffic (or none) stay allocation-free —
-  /// the parallel engine constructs one accumulator per worker.
-  void allocate_lanes();
-
-  /// Start of crossing level cb's row in the fine lanes. The layout is
-  /// cb-major — fine[(cb << log_v) + r] — so the hot-path index is a shift
-  /// and an add (v is a power of two; r-major indexing would multiply by
-  /// log_v), and the per-fold reduction in finalize_into reads each row
-  /// contiguously.
-  [[nodiscard]] std::size_t lane(unsigned cb) const noexcept {
-    return static_cast<std::size_t>(cb) << log_v_;
+  /// Visit the touched nodes bottom-up: visit(n, j) for every node n of
+  /// level j, from the leaves (j = log_v) to the root (j = 0), then
+  /// level_done(j). Each level lists its nodes once — the parents are
+  /// deduplicated through active_ and compacted in place into touched_ —
+  /// and the walk leaves touched_ empty and every active_ flag clear.
+  template <typename Visit, typename LevelDone>
+  void walk_touched(Visit&& visit, LevelDone&& level_done) {
+    std::size_t live = touched_.size();
+    for (unsigned j = log_v_ + 1; j-- > 0;) {
+      std::size_t parents = 0;
+      for (std::size_t i = 0; i < live; ++i) {
+        const std::uint64_t n = touched_[i];
+        active_[n] = 0;
+        visit(n, j);
+        if (j != 0 && !active_[n >> 1]) {
+          active_[n >> 1] = 1;
+          touched_[parents++] = n >> 1;
+        }
+      }
+      level_done(j);
+      live = parents;
+    }
+    touched_.clear();
   }
 
-  unsigned log_v_ = 0;
-  std::uint64_t messages_ = 0;
-  // sent_fine_[lane(cb) + r] / recv_fine_[lane(cb) + r]: messages VP r
-  // sent/received with crossing level cb (0 <= cb < log_v). active_ flags and
-  // touched_ list the VPs with nonzero lanes so finalize/reset cost scales
-  // with the active set, not with v. All sized lazily by allocate_lanes().
-  std::vector<std::uint64_t> sent_fine_;
-  std::vector<std::uint64_t> recv_fine_;
+  unsigned log_v_;
+  std::uint64_t v_;
+  std::uint64_t local_ = 0;  ///< self-traffic of the open superstep
+  // Heap-indexed nodes (class comment): sent_/recv_ over all 2v nodes (the
+  // leaves hold counts, internal nodes only the walk's partial sums),
+  // split_ over the internal nodes 1 .. v - 1. active_ flags and touched_
+  // list the touched nodes so finalize/absorb cost scales with the traffic,
+  // not with v.
+  std::vector<std::uint64_t> sent_;
+  std::vector<std::uint64_t> recv_;
+  std::vector<std::uint64_t> split_;
   std::vector<std::uint8_t> active_;
   std::vector<std::uint64_t> touched_;
-  // Scratch for finalize_into's per-fold cluster reduction, allocated
-  // lazily on the first finalize (absorb-source lanes never need it).
-  std::vector<std::uint64_t> cluster_sent_;
-  std::vector<std::uint64_t> cluster_recv_;
-  std::vector<std::uint8_t> cluster_active_;
-  std::vector<std::uint64_t> cluster_touched_;
 };
 
 /// The recorded superstep sequence plus memoized cumulative tables.

@@ -1,7 +1,9 @@
 // Differential test: the O(1)-per-message DegreeAccumulator must produce
 // SuperstepRecords identical to the retained fold-per-message
 // ReferenceDegreeAccumulator on randomized message patterns — mixed superstep
-// labels, dummy traffic (count > 1), self-messages, sparse active sets, and
+// labels, dummy traffic (count > 1, up to ~2^40), self-messages, sparse
+// active sets, traffic confined to one deep cluster, dense all-to-all,
+// accumulator reuse across alternating dense and sparse supersteps, and
 // 1..8 worker lanes folded with absorb().
 #include <gtest/gtest.h>
 
@@ -16,7 +18,7 @@
 namespace nobl {
 namespace {
 
-constexpr unsigned kLogVs[] = {0, 1, 2, 3, 6};
+constexpr unsigned kLogVs[] = {0, 1, 2, 3, 6, 10, 12};
 constexpr unsigned kRounds = 6;
 
 SuperstepRecord blank_record(unsigned log_v) {
@@ -72,6 +74,132 @@ TEST(DegreeDifferential, RandomPatternsAcrossLanesMatchReference) {
         expect_records_equal(a, b, log_v, lanes, round);
       }
     }
+  }
+}
+
+struct Msg {
+  std::uint64_t src;
+  std::uint64_t dst;
+  std::uint64_t count;
+};
+using Step = std::vector<Msg>;
+
+// Count every step's messages into `lanes` fast accumulators (a random lane
+// per message), fold them with absorb() and finalize. The fast lanes are
+// reused across all steps, while each step is checked against a fresh
+// reference: any residue a finalize left behind would show in a later step.
+void expect_steps_match(unsigned log_v, unsigned lanes,
+                        const std::vector<Step>& steps, std::uint64_t seed) {
+  std::vector<DegreeAccumulator> fast;
+  for (unsigned w = 0; w < lanes; ++w) fast.emplace_back(log_v);
+  Xoshiro256 rng(seed);
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    ReferenceDegreeAccumulator ref(log_v);
+    for (const Msg& m : steps[k]) {
+      fast[rng.below(lanes)].count(m.src, m.dst, m.count);
+      ref.count(m.src, m.dst, m.count);
+    }
+    for (unsigned w = 1; w < lanes; ++w) fast[0].absorb(fast[w]);
+    SuperstepRecord a = blank_record(log_v);
+    SuperstepRecord b = blank_record(log_v);
+    fast[0].finalize_into(a);
+    ref.finalize_into(b);
+    expect_records_equal(a, b, log_v, lanes, static_cast<unsigned>(k));
+  }
+}
+
+// Every VP of one cluster of `cluster` VPs sends 1..4 messages inside it
+// (stencil2's level-2 shape: 128 active VPs of 4096).
+Step deep_cluster_step(std::uint64_t v, std::uint64_t cluster,
+                       Xoshiro256& rng) {
+  const std::uint64_t base = rng.below(v / cluster) * cluster;
+  Step step;
+  for (std::uint64_t r = base; r < base + cluster; ++r) {
+    for (std::uint64_t m = 1 + rng.below(4); m > 0; --m) {
+      step.push_back(Msg{r, base + rng.below(cluster), 1});
+    }
+  }
+  return step;
+}
+
+Step dense_step(std::uint64_t v) {
+  Step step;
+  for (std::uint64_t src = 0; src < v; ++src) {
+    for (std::uint64_t dst = 0; dst < v; ++dst) {
+      step.push_back(Msg{src, dst, 1});
+    }
+  }
+  return step;
+}
+
+TEST(DegreeDifferential, DeepClusterSupersteps) {
+  constexpr unsigned kLogV = 12;
+  Xoshiro256 rng(12);
+  std::vector<Step> steps;
+  for (unsigned k = 0; k < 24; ++k) {
+    // Mostly 128-VP clusters, now and then a shallower or a deeper one.
+    const std::uint64_t cluster = k % 8 == 7 ? 1024 : (k % 8 == 3 ? 2 : 128);
+    steps.push_back(deep_cluster_step(std::uint64_t{1} << kLogV, cluster, rng));
+  }
+  for (unsigned lanes = 1; lanes <= 8; ++lanes) {
+    expect_steps_match(kLogV, lanes, steps, lanes);
+  }
+}
+
+TEST(DegreeDifferential, DenseAllToAll) {
+  for (const unsigned log_v : {1u, 4u, 7u}) {
+    const std::vector<Step> steps(2, dense_step(std::uint64_t{1} << log_v));
+    for (unsigned lanes = 1; lanes <= 8; ++lanes) {
+      expect_steps_match(log_v, lanes, steps, 100 + lanes);
+    }
+  }
+}
+
+// Dummy bursts with counts near 2^40: the walk's parent sums subtract the
+// split counts in modular u64 arithmetic, which must land on the exact
+// reference degrees. The last steps push the sums past 2^64, where both
+// implementations must agree modulo 2^64.
+TEST(DegreeDifferential, DummyBurstsNearTwoToTheForty) {
+  for (const unsigned log_v : {3u, 10u}) {
+    const std::uint64_t v = std::uint64_t{1} << log_v;
+    Xoshiro256 rng(40 + log_v);
+    std::vector<Step> steps;
+    for (unsigned k = 0; k < 8; ++k) {
+      const unsigned shift = k < 6 ? 40 : 62;
+      Step step;
+      for (unsigned m = 0; m < 300; ++m) {
+        const std::uint64_t count =
+            (std::uint64_t{1} << shift) - 1 - rng.below(1u << 20);
+        step.push_back(Msg{rng.below(v), rng.below(v), count});
+      }
+      steps.push_back(std::move(step));
+    }
+    for (unsigned lanes = 1; lanes <= 8; ++lanes) {
+      expect_steps_match(log_v, lanes, steps, 200 + lanes);
+    }
+  }
+}
+
+// One accumulator reused across alternating dense and sparse supersteps:
+// a finalize must leave no residue for the next, smaller superstep to pick
+// up, and the dense step must not be disturbed by the sparse one before it.
+TEST(DegreeDifferential, AlternatingDenseAndSparseReuse) {
+  constexpr unsigned kLogV = 6;
+  constexpr std::uint64_t kV = std::uint64_t{1} << kLogV;
+  Xoshiro256 rng(6);
+  std::vector<Step> steps;
+  for (unsigned k = 0; k < 12; ++k) {
+    if (k % 2 == 0) {
+      steps.push_back(dense_step(kV));
+    } else if (k % 4 == 1) {
+      steps.push_back(deep_cluster_step(kV, 4, rng));
+    } else {
+      steps.push_back(Step{Msg{rng.below(kV), rng.below(kV), 3}});
+    }
+  }
+  steps.emplace_back();  // an empty superstep must record all zeros
+  for (unsigned lanes = 1; lanes <= 8; ++lanes) {
+    expect_steps_match(kLogV, lanes, steps, 300 + lanes);
   }
 }
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace nobl {
 namespace {
@@ -245,6 +250,126 @@ TEST(Machine, SuperstepSparseDeliversAndCounts) {
   EXPECT_EQ(m.trace().steps().back().degree[3], 1u);
   ASSERT_EQ(m.inbox(7).size(), 1u);
   EXPECT_EQ(m.inbox(7)[0].data, 5);
+}
+
+TEST(Machine, InboxFilledEarlierIsEmptiedByALaterSync) {
+  for (unsigned threads = 0; threads <= 8; ++threads) {
+    Machine<int> m(64, threads == 0 ? ExecutionPolicy::sequential()
+                                    : ExecutionPolicy::parallel(threads));
+    m.superstep(0, [](Vp<int>& vp) {
+      if (vp.id() < 3) vp.send(40, static_cast<int>(vp.id()));
+    });
+    ASSERT_EQ(m.inbox(40).size(), 3u) << "threads=" << threads;
+    // Nobody sends to VP 40 in the next superstep: its inbox must empty.
+    m.superstep(0, [](Vp<int>& vp) {
+      if (vp.id() == 7) vp.send(41, 7);
+    });
+    EXPECT_TRUE(m.inbox(40).empty()) << "threads=" << threads;
+    ASSERT_EQ(m.inbox(41).size(), 1u) << "threads=" << threads;
+    EXPECT_EQ(m.inbox(41)[0].data, 7);
+    // A superstep without real sends empties every inbox.
+    m.superstep(0, [](Vp<int>& vp) { vp.send_dummy(vp.id() ^ 1, 2); });
+    for (std::uint64_t r = 0; r < 64; ++r) {
+      EXPECT_TRUE(m.inbox(r).empty()) << "threads=" << threads << " r=" << r;
+    }
+    EXPECT_EQ(m.peak_inbox_messages(), 3u) << "threads=" << threads;
+  }
+}
+
+// Sparse, range and full supersteps on a machine large enough that most VPs
+// stay idle: every inbox must hold exactly its messages in ascending sender
+// order, then per-sender send order, with the same peak_inbox_messages(),
+// under the sequential engine and the parallel engine at 1-8 threads.
+TEST(Machine, SparseDeliveryKeepsSenderOrderAcrossEngines) {
+  constexpr unsigned kLogV = 12;
+  constexpr std::uint64_t kV = std::uint64_t{1} << kLogV;
+  using Inboxes = std::vector<std::vector<std::pair<std::uint64_t, int>>>;
+  struct Step {
+    unsigned label;
+    std::vector<std::uint64_t> active;  // ascending
+    std::vector<std::vector<std::uint64_t>> dsts;  // per active position
+  };
+  Xoshiro256 rng(2024);
+  std::vector<Step> plan;
+  for (unsigned k = 0; k < 9; ++k) {
+    Step step;
+    step.label = k % 3 == 2 ? 0 : 5;  // 5: 128-VP clusters
+    const std::uint64_t cluster = kV >> step.label;
+    if (k % 3 == 0) {  // sparse: a few VPs of one deep cluster
+      const std::uint64_t base = rng.below(kV / cluster) * cluster;
+      for (std::uint64_t r = base; r < base + cluster; ++r) {
+        if (rng.below(4) == 0) step.active.push_back(r);
+      }
+    } else if (k % 3 == 1) {  // range: one deep cluster
+      const std::uint64_t base = rng.below(kV / cluster) * cluster;
+      for (std::uint64_t r = base; r < base + cluster; ++r) {
+        step.active.push_back(r);
+      }
+    } else {  // full: a few senders, many idle VPs
+      for (std::uint64_t r = 0; r < kV; ++r) step.active.push_back(r);
+    }
+    for (const std::uint64_t r : step.active) {
+      const std::uint64_t base = r & ~(cluster - 1);
+      std::vector<std::uint64_t> dsts;
+      const bool sends = k % 3 != 2 || rng.below(16) == 0;
+      for (std::uint64_t m = sends ? rng.below(4) : 0; m > 0; --m) {
+        // Hot spot: a quarter of the sends go to the cluster's first VP.
+        dsts.push_back(rng.below(4) == 0 ? base : base + rng.below(cluster));
+      }
+      step.dsts.push_back(std::move(dsts));
+    }
+    plan.push_back(std::move(step));
+  }
+  const auto payload = [](std::uint64_t src, std::size_t seq) {
+    return static_cast<int>(src * 8 + seq);
+  };
+
+  // Expected inboxes and peak, straight from the plan.
+  std::vector<Inboxes> expected;
+  std::vector<std::uint64_t> expected_peak;
+  std::uint64_t peak = 0;
+  for (const Step& step : plan) {
+    Inboxes in(kV);
+    for (std::size_t pos = 0; pos < step.active.size(); ++pos) {
+      const std::uint64_t r = step.active[pos];
+      for (std::size_t seq = 0; seq < step.dsts[pos].size(); ++seq) {
+        in[step.dsts[pos][seq]].emplace_back(r, payload(r, seq));
+      }
+    }
+    for (const auto& box : in) peak = std::max<std::uint64_t>(peak, box.size());
+    expected.push_back(std::move(in));
+    expected_peak.push_back(peak);
+  }
+
+  for (unsigned threads = 0; threads <= 8; ++threads) {
+    Machine<int> m(kV, threads == 0 ? ExecutionPolicy::sequential()
+                                    : ExecutionPolicy::parallel(threads));
+    for (std::size_t k = 0; k < plan.size(); ++k) {
+      const Step& step = plan[k];
+      const auto body = [&step, &payload](Vp<int>& vp) {
+        const auto it = std::lower_bound(step.active.begin(),
+                                         step.active.end(), vp.id());
+        const auto& dsts = step.dsts[it - step.active.begin()];
+        for (std::size_t seq = 0; seq < dsts.size(); ++seq) {
+          vp.send(dsts[seq], payload(vp.id(), seq));
+        }
+      };
+      if (k % 3 == 0) {
+        m.superstep_sparse(step.label, step.active, body);
+      } else {
+        m.superstep_range(step.label, step.active.front(),
+                          step.active.back() + 1, body);
+      }
+      for (std::uint64_t r = 0; r < kV; ++r) {
+        std::vector<std::pair<std::uint64_t, int>> got;
+        for (const auto& msg : m.inbox(r)) got.emplace_back(msg.src, msg.data);
+        ASSERT_EQ(got, expected[k][r])
+            << "threads=" << threads << " step=" << k << " vp=" << r;
+      }
+      EXPECT_EQ(m.peak_inbox_messages(), expected_peak[k])
+          << "threads=" << threads << " step=" << k;
+    }
+  }
 }
 
 // Folding invariant (the engine-level form of Lemma 3.1): for a random
