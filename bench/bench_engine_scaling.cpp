@@ -5,7 +5,7 @@
 //
 // The report section first verifies (cheaply, on the FFT) that the two
 // engines agree bit-for-bit at the bench size, then prints the speedup
-// table. The google-benchmark section exposes the same runs to the timing
+// table; the binary exits 1 when the engines disagree. The google-benchmark section exposes the same runs to the timing
 // harness: BM_*/threads:N, with threads == 0 meaning the sequential engine.
 //
 // Engine selection for the *other* bench binaries rides on
@@ -70,16 +70,19 @@ double seconds_of(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-void report() {
+/// Prints the agreement check and the speedup table; returns false when
+/// the engines disagree.
+bool report() {
   benchx::banner("E-ENG  engine scaling: parallel speedup over sequential");
 
   // Bit-for-bit agreement spot check at the bench size.
+  bool identical = true;
   {
     const auto signal = benchx::random_signal(kV, 11);
     const FftRun seq = fft_oblivious(signal);
     const FftRun par = fft_oblivious(signal, true, ExecutionPolicy::parallel(4));
-    bool identical = seq.output == par.output &&
-                     seq.trace.supersteps() == par.trace.supersteps();
+    identical = seq.output == par.output &&
+                seq.trace.supersteps() == par.trace.supersteps();
     for (std::size_t s = 0; identical && s < seq.trace.supersteps(); ++s) {
       identical = seq.trace.steps()[s].degree == par.trace.steps()[s].degree;
     }
@@ -110,6 +113,7 @@ void report() {
     }
   }
   std::cout << table;
+  return identical;
 }
 
 void BM_EngineFft(benchmark::State& state) {
@@ -146,8 +150,8 @@ BENCHMARK(BM_EngineColumnsort)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 }  // namespace nobl
 
 int main(int argc, char** argv) {
-  nobl::report();
+  const bool identical = nobl::report();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -5,16 +5,21 @@
 //
 // main() first prints a fast-vs-reference accumulator throughput table on
 // dense all-to-all, matmul-shaped and deep-sparse-cluster message storms
-// (the acceptance workloads), then hands over to google-benchmark for
-// messages/sec and certify-sweep latency timings. It exits 1 when the fast
-// and reference accumulators record different SuperstepRecords on any
-// storm, so a run doubles as an equality check.
+// (the acceptance workloads), and on range storms whose supersteps the fast
+// accumulator closes both ways: with the touched-node walk and with the
+// range sweep (DegreeAccumulator::open_range). Then it hands over to
+// google-benchmark for messages/sec and certify-sweep latency timings. It
+// exits 1 when the fast and reference accumulators record different
+// SuperstepRecords on any storm, in either close mode, so a run doubles as
+// an equality check.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -34,8 +39,15 @@ struct Storm {
   std::uint64_t src;
   std::uint64_t dst;
 };
-/// A message storm, one message list per superstep.
-using Storms = std::vector<std::vector<Storm>>;
+/// One superstep of a storm: its messages and, for range storms, the
+/// superstep's label and active range [first, last).
+struct StormStep {
+  std::vector<Storm> msgs;
+  unsigned label = 0;
+  std::uint64_t first = 0;
+  std::uint64_t last = 0;
+};
+using Storms = std::vector<StormStep>;
 
 /// Dense all-to-all: every VP messages every VP (self-messages included) —
 /// the densest 0-superstep M(v) can express, v² messages.
@@ -47,7 +59,7 @@ Storms dense_all_to_all(std::uint64_t v) {
       msgs.push_back(Storm{src, dst});
     }
   }
-  return {msgs};
+  return {StormStep{msgs}};
 }
 
 /// Matmul-shaped storm: the §4.1 recursion's communication silhouette on the
@@ -65,7 +77,7 @@ Storms matmul_storm(std::uint64_t v) {
       msgs.push_back(Storm{r, k * m + col});
     }
   }
-  return {msgs};
+  return {StormStep{msgs}};
 }
 
 /// Deep sparse cluster storm: one superstep per 128-VP cluster, in which
@@ -83,29 +95,65 @@ Storms deep_sparse_cluster(std::uint64_t v) {
         msgs.push_back(Storm{base + r, base + (r + d) % kCluster});
       }
     }
-    steps.push_back(std::move(msgs));
+    steps.push_back(StormStep{std::move(msgs)});
+  }
+  return steps;
+}
+
+/// Full-range dense storm: dense all-to-all as one 0-superstep over the
+/// whole range [0, v).
+Storms full_range_dense(std::uint64_t v) {
+  Storms steps = dense_all_to_all(v);
+  steps.front().last = v;
+  return steps;
+}
+
+/// Stencil2-shaped half-cluster ranges: one superstep per 128-VP cluster,
+/// the lower half of the cluster active — the range [base, base + 64) at
+/// the 128-VP label — each active VP sending across the cluster's midpoint
+/// (stencil2's boundary unit) and to its neighbour. The range covers half
+/// its rounded-out cluster, the least range mode accepts; 128 messages per
+/// superstep, so the close dominates.
+Storms stencil2_half_cluster(std::uint64_t v) {
+  constexpr std::uint64_t kCluster = 128;
+  const unsigned label = log2_exact(v) - log2_exact(kCluster);
+  Storms steps;
+  for (std::uint64_t base = 0; base < v; base += kCluster) {
+    StormStep step{{}, label, base, base + kCluster / 2};
+    for (std::uint64_t r = step.first; r < step.last; ++r) {
+      step.msgs.push_back(Storm{r, r + kCluster / 2});
+      step.msgs.push_back(Storm{r, r ^ 1});
+    }
+    steps.push_back(std::move(step));
   }
   return steps;
 }
 
 std::uint64_t message_count(const Storms& steps) {
   std::uint64_t total = 0;
-  for (const auto& msgs : steps) total += msgs.size();
+  for (const StormStep& step : steps) total += step.msgs.size();
   return total;
 }
 
 /// Count and close every superstep of `steps` `reps` times; returns
-/// messages/s and leaves the last repetition's records in `records`.
+/// messages/s and leaves the last repetition's records in `records`. With
+/// `ranged`, each superstep opens the fast accumulator over its range.
 template <typename Accumulator>
 double messages_per_second(unsigned log_v, const Storms& steps, unsigned reps,
-                           std::vector<SuperstepRecord>& records) {
+                           std::vector<SuperstepRecord>& records,
+                           bool ranged = false) {
   Accumulator acc(log_v);
   records.assign(steps.size(), SuperstepRecord{});
   for (SuperstepRecord& rec : records) rec.degree.assign(log_v + 1u, 0);
   const auto t0 = std::chrono::steady_clock::now();
   for (unsigned rep = 0; rep < reps; ++rep) {
     for (std::size_t k = 0; k < steps.size(); ++k) {
-      for (const Storm& s : steps[k]) acc.count(s.src, s.dst, 1);
+      if constexpr (std::is_same_v<Accumulator, DegreeAccumulator>) {
+        if (ranged) {
+          (void)acc.open_range(steps[k].label, steps[k].first, steps[k].last);
+        }
+      }
+      for (const Storm& s : steps[k].msgs) acc.count(s.src, s.dst, 1);
       acc.finalize_into(records[k]);
       benchmark::DoNotOptimize(records[k].degree.data());
     }
@@ -115,13 +163,34 @@ double messages_per_second(unsigned log_v, const Storms& steps, unsigned reps,
   return static_cast<double>(message_count(steps)) * reps / dt.count();
 }
 
+/// False (and a MISMATCH line) when `fast` differs from `ref` anywhere.
+bool records_agree(const std::vector<SuperstepRecord>& fast,
+                   const std::vector<SuperstepRecord>& ref,
+                   const std::string& what, std::uint64_t v) {
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    if (fast[k].degree != ref[k].degree ||
+        fast[k].messages != ref[k].messages) {
+      std::cerr << "MISMATCH: " << what << " v=" << v << " superstep " << k
+                << ": fast and reference records differ\n";
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Prints the throughput table; returns false when the fast accumulator's
-/// records differ from the reference's on any storm.
+/// records differ from the reference's on any storm. A range storm adds a
+/// column for the fast accumulator closing each superstep with the range
+/// sweep, next to its touched-node walk.
 bool storm_table(const std::string& title, const std::string& shape,
                  const std::vector<std::uint64_t>& sizes,
-                 Storms (*storm)(std::uint64_t)) {
-  Table t(title, {"v", "supersteps", "messages/superstep", "reference msg/s",
-                  "fast msg/s", "speedup"});
+                 Storms (*storm)(std::uint64_t), bool ranged = false) {
+  std::vector<std::string> columns{"v", "supersteps", "messages/superstep",
+                                   "reference msg/s", "fast msg/s", "speedup"};
+  if (ranged) {
+    columns.insert(columns.end(), {"range-sweep msg/s", "sweep/walk"});
+  }
+  Table t(title, columns);
   bool agree = true;
   for (const std::uint64_t v : sizes) {
     const unsigned log_v = log2_exact(v);
@@ -140,22 +209,24 @@ bool storm_table(const std::string& title, const std::string& shape,
         log_v, steps, reps, ref_records);
     const double fast = messages_per_second<DegreeAccumulator>(
         log_v, steps, reps, fast_records);
-    for (std::size_t k = 0; k < steps.size(); ++k) {
-      if (fast_records[k].degree != ref_records[k].degree ||
-          fast_records[k].messages != ref_records[k].messages) {
-        std::cerr << "MISMATCH: " << shape << " v=" << v << " superstep " << k
-                  << ": fast and reference records differ\n";
-        agree = false;
-        break;
-      }
+    agree &= records_agree(fast_records, ref_records, shape, v);
+    auto& row = t.row()
+                    .add(v)
+                    .add(static_cast<std::uint64_t>(steps.size()))
+                    .add(messages / steps.size())
+                    .add(ref)
+                    .add(fast)
+                    .add(fast / ref);
+    if (ranged) {
+      std::vector<SuperstepRecord> sweep_records;
+      (void)messages_per_second<DegreeAccumulator>(log_v, steps, 1,
+                                                   sweep_records, true);
+      const double sweep = messages_per_second<DegreeAccumulator>(
+          log_v, steps, reps, sweep_records, true);
+      agree &= records_agree(sweep_records, ref_records,
+                             shape + " (range sweep)", v);
+      row.add(sweep).add(sweep / fast);
     }
-    t.row()
-        .add(v)
-        .add(static_cast<std::uint64_t>(steps.size()))
-        .add(messages / steps.size())
-        .add(ref)
-        .add(fast)
-        .add(fast / ref);
   }
   std::cout << "[" << shape << "]\n" << t;
   return agree;
@@ -190,6 +261,14 @@ bool report() {
   agree &= storm_table(
       "deep sparse cluster storm (one 128-VP cluster per superstep)",
       "deep sparse cluster", {1024, 4096, 65536}, deep_sparse_cluster);
+  agree &= storm_table("full-range dense storm (all-to-all over [0, v))",
+                       "full-range dense", {16, 64, 256}, full_range_dense,
+                       true);
+  agree &= storm_table(
+      "stencil2-shaped half-cluster ranges (lower half of a 128-VP cluster "
+      "per superstep)",
+      "stencil2 half-cluster", {1024, 4096, 65536}, stencil2_half_cluster,
+      true);
 
   benchx::banner("certify_optimality sweep latency on a long trace");
   Table t("certify sweep over folds x sigma grid",
@@ -216,7 +295,7 @@ template <typename Accumulator>
 void BM_DegreeDenseAllToAll(benchmark::State& state) {
   const auto v = static_cast<std::uint64_t>(state.range(0));
   const unsigned log_v = log2_exact(v);
-  const auto msgs = dense_all_to_all(v).front();
+  const auto msgs = dense_all_to_all(v).front().msgs;
   Accumulator acc(log_v);
   SuperstepRecord rec;
   rec.degree.assign(log_v + 1u, 0);
@@ -239,7 +318,7 @@ template <typename Accumulator>
 void BM_DegreeMatmulStorm(benchmark::State& state) {
   const auto v = static_cast<std::uint64_t>(state.range(0));
   const unsigned log_v = log2_exact(v);
-  const auto msgs = matmul_storm(v).front();
+  const auto msgs = matmul_storm(v).front().msgs;
   Accumulator acc(log_v);
   SuperstepRecord rec;
   rec.degree.assign(log_v + 1u, 0);
@@ -265,8 +344,8 @@ void BM_DegreeDeepSparseCluster(benchmark::State& state) {
   SuperstepRecord rec;
   rec.degree.assign(log_v + 1u, 0);
   for (auto _ : state) {
-    for (const auto& msgs : steps) {
-      for (const Storm& s : msgs) acc.count(s.src, s.dst, 1);
+    for (const StormStep& step : steps) {
+      for (const Storm& s : step.msgs) acc.count(s.src, s.dst, 1);
       acc.finalize_into(rec);
       benchmark::DoNotOptimize(rec.degree.data());
     }

@@ -174,6 +174,10 @@ class AuditBackend {
   template <typename Body>
   void superstep_range(unsigned label, std::uint64_t first, std::uint64_t last,
                        Body&& body) {
+    if (first > last || last > v_) {
+      throw std::invalid_argument(
+          "AuditBackend: superstep range needs first <= last <= v");
+    }
     begin_superstep(label);
     for (std::uint64_t r = first; r < last; ++r) {
       VpRef vp(this, r);

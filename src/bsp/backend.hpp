@@ -29,6 +29,8 @@
 //     sequential or parallel engine, payload routing, inboxes, peak-inbox
 //     audit. This *is* Machine<Payload>: the historical entry points keep
 //     working, and the golden/equivalence suites pin bit-identity.
+//     vp.inbox() and bk.inbox(r) return a std::span<const Message<Payload>>
+//     over the simulator's flat mail array, valid until the next sync.
 //
 //   CostBackend — drives the same bodies sequentially but intercepts
 //     send/send_dummy into DegreeAccumulator bucketing only: no payload
@@ -42,10 +44,11 @@
 //     re-derive the trace without re-running the program (replay_trace).
 //
 // Validation parity: cost/record backends enforce the same rules as the
-// simulator — label range, no nested supersteps, strictly increasing sparse
-// active sets, destination range, and the i-cluster containment rule
-// (ClusterViolation) — so a program that certifies under CostBackend also
-// runs under SimulateBackend, and vice versa.
+// simulator — label range, no nested supersteps, first <= last <= v for
+// superstep_range, strictly increasing sparse active sets, destination
+// range, and the i-cluster containment rule (ClusterViolation) — so a
+// program that certifies under CostBackend also runs under SimulateBackend,
+// and vice versa.
 #pragma once
 
 #include <bit>
@@ -244,9 +247,9 @@ class CostBackend {
   static constexpr bool delivers = false;
 
   /// The VpContext handle for counting backends. The hot per-send state
-  /// (machine size, cluster shift, the accumulator's node arrays, capture
-  /// sink) is cached in the handle at construction. Each send bumps the
-  /// receiver's leaf and the endpoints' split node in place; the send half
+  /// (machine size, cluster shift, the accumulator's node arrays and mode,
+  /// capture sink) is cached in the handle at construction. Each send bumps
+  /// the receiver's leaf and the endpoints' split node in place; the send half
   /// shares its src across the VP's sends, so it accumulates in one
   /// `cross_` counter and flushes into the DegreeAccumulator once per VP
   /// (commit(), called by the superstep driver). The resulting accumulator
@@ -301,16 +304,17 @@ class CostBackend {
           split_data_(backend->acc_.split_data()),
           id_(id),
           v_(backend->v_),
+          ranged_(backend->acc_.ranged()),
           log_v_(backend->log_v_),
           breach_shift_(backend->breach_shift_) {}
 
     void bucket(std::uint64_t dst, std::uint64_t count) {
       // The receive and split halves of DegreeAccumulator::count(), through
       // raw node pointers cached at construction (contract on
-      // DegreeAccumulator::active_data()).
+      // DegreeAccumulator::active_data()). Range mode needs no touch flags.
       cross_ += count;
       const std::uint64_t leaf = v_ + dst;
-      if (active_data_[leaf] == 0) [[unlikely]] {
+      if (!ranged_ && active_data_[leaf] == 0) [[unlikely]] {
         active_data_[leaf] = 1;
         acc_->note_touched(leaf);
       }
@@ -330,6 +334,7 @@ class CostBackend {
     std::uint64_t* split_data_;
     std::uint64_t id_;
     std::uint64_t v_;
+    bool ranged_;  ///< the accumulator's open superstep is in range mode
     unsigned log_v_;
     unsigned breach_shift_;
     std::uint64_t cross_ = 0;  ///< messages sent to other VPs
@@ -359,10 +364,18 @@ class CostBackend {
     superstep_range(label, 0, v_, std::forward<Body>(body));
   }
 
+  /// Runs the body for VPs [first, last); requires first <= last <= v
+  /// (std::invalid_argument otherwise). Closes with a contiguous sweep when
+  /// the range allows it (bsp/trace.hpp).
   template <typename Body>
   void superstep_range(unsigned label, std::uint64_t first, std::uint64_t last,
                        Body&& body) {
+    if (first > last || last > v_) {
+      throw std::invalid_argument(
+          "CostBackend: superstep range needs first <= last <= v");
+    }
     begin_superstep(label);
+    acc_.open_range(label, first, last);
     if (capture_ == nullptr) {
       for (std::uint64_t r = first; r < last; ++r) {
         VpRefT<false> vp(this, r);

@@ -10,10 +10,10 @@
 //   * runs the superstep body once per virtual processor (in index order
 //     under the sequential engine; see below for the parallel engine),
 //   * routes real message payloads into the recipients' next-superstep
-//     inboxes (delivery order = sender index, then send order; delivery
-//     walks only the VPs that sent and the inboxes they fill, two-pass —
-//     count per destination, reserve once, fill — so the sync never
-//     reallocates mid-merge and costs the traffic, not v),
+//     inboxes (delivery order = sender index, then send order). Sends are
+//     staged flat, in send order; the sync lays the next inboxes out in one
+//     flat mail array, two-pass — count per destination, then place — so
+//     it costs the traffic, not v,
 //   * enforces the cluster-containment rule (ClusterViolation on breach),
 //   * records the exact degree of the superstep at every folding 2^j
 //     (see bsp/trace.hpp), including "dummy" messages — the paper's device
@@ -30,10 +30,11 @@
 //     semantics).
 //   Parallel — the active VPs are partitioned into contiguous chunks over a
 //     persistent worker pool. Determinism is preserved structurally, not by
-//     locking: every VP stages its sends into a private per-VP outbox, each
-//     worker lane counts degrees into its own DegreeAccumulator, and the
-//     closing sync (single-threaded) merges outboxes in ascending sender
-//     index and folds the lane accumulators with commutative sums. Inbox
+//     locking: each worker lane stages its VPs' sends in a private buffer
+//     and counts degrees into its own DegreeAccumulator, and the closing
+//     sync (single-threaded) reads the lanes' buffers in lane order — which
+//     is ascending sender index, the lanes holding ascending chunks — and
+//     folds the lane accumulators with commutative sums. Inbox
 //     contents and order, ClusterViolation detection, peak-inbox audit and
 //     the recorded Trace are therefore bit-identical to the sequential
 //     engine. If several VPs throw in one superstep, the exception of the
@@ -97,8 +98,8 @@ class Vp {
 
   /// Messages delivered at the sync that opened this superstep (i.e. all
   /// messages sent to this VP during the previous superstep).
-  [[nodiscard]] const std::vector<MessageT>& inbox() const noexcept {
-    return machine_->inbox_[id_];
+  [[nodiscard]] std::span<const MessageT> inbox() const noexcept {
+    return machine_->inbox_of(id_);
   }
 
   /// send(m, q) of Section 2. The destination must lie in the sender's
@@ -120,7 +121,7 @@ class Vp {
 
   Machine<Payload>* machine_;
   std::uint64_t id_;
-  unsigned lane_;  ///< worker lane whose DegreeAccumulator this VP charges
+  unsigned lane_;  ///< worker lane that counts and stages this VP's sends
 };
 
 template <typename Payload>
@@ -137,20 +138,20 @@ class Machine {
   explicit Machine(std::uint64_t v,
                    ExecutionPolicy policy = ExecutionPolicy::sequential())
       : log_v_(log2_exact(v)), v_(v), policy_(policy), trace_(log_v_) {
+    if (log_v_ > 32) {
+      throw std::invalid_argument("Machine: v above 2^32");
+    }
     if (policy_.mode == ExecutionPolicy::Mode::kParallel &&
         policy_.num_threads == 0) {
       throw std::invalid_argument("Machine: parallel policy needs >= 1 thread");
     }
-    inbox_.resize(v_);
-    outbox_.resize(v_);
-    inbox_count_.resize(v_);
+    box_.resize(v_);
     if (policy_.is_parallel()) {
       pool_ = std::make_unique<WorkerPool>(policy_.num_threads);
     }
     const unsigned lanes = pool_ ? pool_->size() : 1;
     lanes_.reserve(lanes);
     for (unsigned w = 0; w < lanes; ++w) lanes_.emplace_back(log_v_);
-    senders_.resize(lanes);
   }
 
   [[nodiscard]] std::uint64_t v() const noexcept { return v_; }
@@ -167,16 +168,25 @@ class Machine {
     superstep_range(label, 0, v_, std::forward<Body>(body));
   }
 
-  /// Same as superstep(), but runs the body only for VPs in [first, last).
+  /// Same as superstep(), but runs the body only for VPs in [first, last),
+  /// which requires first <= last <= v (std::invalid_argument otherwise).
   /// Idle VPs still take part in the barrier; this is purely a simulator
   /// fast-path for supersteps whose active set is known to be a range.
+  /// Under the sequential engine the sync closes the degree accumulator
+  /// with a contiguous sweep when the range allows it (bsp/trace.hpp).
   template <typename Body>
   void superstep_range(unsigned label, std::uint64_t first, std::uint64_t last,
                        Body&& body) {
+    if (first > last || last > v_) {
+      throw std::invalid_argument(
+          "Machine: superstep range needs first <= last <= v");
+    }
     begin_superstep(label);
+    // The parallel engine's lanes are folded with absorb(), which needs
+    // touch mode.
+    if (!pool_) lanes_[0].acc.open_range(label, first, last);
     run_bodies(
-        first >= last ? 0 : last - first,
-        [first](std::uint64_t pos) { return first + pos; },
+        last - first, [first](std::uint64_t pos) { return first + pos; },
         std::forward<Body>(body));
     end_superstep();
   }
@@ -207,9 +217,11 @@ class Machine {
   }
 
   /// Read access to a VP's current inbox between supersteps (used to extract
-  /// results after the final sync).
-  [[nodiscard]] const std::vector<MessageT>& inbox(std::uint64_t vp) const {
-    return inbox_.at(vp);
+  /// results after the final sync). The view stays valid until the next
+  /// sync. Throws std::out_of_range for vp >= v.
+  [[nodiscard]] std::span<const MessageT> inbox(std::uint64_t vp) const {
+    if (vp >= v_) throw std::out_of_range("Machine: inbox VP out of range");
+    return inbox_of(vp);
   }
 
   /// Peak number of messages delivered to any single VP at any barrier —
@@ -224,11 +236,39 @@ class Machine {
  private:
   friend class Vp<Payload>;
 
-  /// A send staged during the running superstep, private to its sender.
+  /// A send staged during the running superstep. VP ids fit 32 bits (the
+  /// constructor caps v), which keeps a staged send as small as a delivered
+  /// one.
   struct Staged {
-    std::uint64_t dst;
+    std::uint32_t src;
+    std::uint32_t dst;
     Payload data;
   };
+
+  /// One worker lane: its degree counters and the sends of the VPs it ran,
+  /// in execution order. A lane runs an ascending chunk of the active VPs,
+  /// so its sends are in (sender index, send order). Aligned so that two
+  /// workers never write the same cache line.
+  struct alignas(64) Lane {
+    explicit Lane(unsigned log_v) : acc(log_v) {}
+    DegreeAccumulator acc;
+    std::vector<Staged> staged;
+    /// Sends this lane staged in the previous superstep.
+    std::size_t last_staged = 0;
+  };
+
+  /// A VP's inbox: mail_[begin, begin + count). {0, 0} unless the last sync
+  /// delivered to the VP.
+  struct Box {
+    std::uint64_t begin = 0;
+    std::uint64_t count = 0;
+  };
+
+  [[nodiscard]] std::span<const MessageT> inbox_of(
+      std::uint64_t vp) const noexcept {
+    const Box& box = box_[vp];
+    return {mail_.data() + box.begin, box.count};
+  }
 
   void begin_superstep(unsigned label) {
     if (label >= trace_.label_bound()) {
@@ -239,8 +279,15 @@ class Machine {
     }
     in_superstep_ = true;
     label_ = label;
+    // A message breaches the sender's label-cluster iff src and dst differ
+    // in any of the top `label` bits (CostBackend's rule).
+    breach_shift_ = log_v_ - label;
     record_.label = label;
     record_.degree.assign(log_v_ + 1, 0);
+    // The staging buffers are released at every sync, so that they hold no
+    // memory between supersteps. Supersteps of one phase send alike: sizing
+    // them from the previous superstep spares push_back's doubling.
+    for (Lane& lane : lanes_) lane.staged.reserve(lane.last_staged);
   }
 
   /// Drive body(vp) over the `count` active VPs, where id_of(pos) maps the
@@ -258,7 +305,6 @@ class Machine {
       for (std::uint64_t pos = 0; pos < count; ++pos) {
         Vp<Payload> vp(this, id_of(pos), 0);
         body(vp);
-        note_sender(vp);
       }
       return;
     }
@@ -277,7 +323,6 @@ class Machine {
         try {
           Vp<Payload> vp(this, id_of(pos), w);
           body(vp);
-          note_sender(vp);
         } catch (...) {
           error_pos[w] = pos;
           error[w] = std::current_exception();
@@ -296,80 +341,93 @@ class Machine {
     if (first != workers) std::rethrow_exception(error[first]);
   }
 
-  /// After vp's body: list it for delivery if it staged a send. Once per
-  /// VP, not per send: a per-send check measurably slows dense supersteps.
-  void note_sender(const Vp<Payload>& vp) {
-    if (!outbox_[vp.id_].empty()) senders_[vp.lane_].push_back(vp.id_);
-  }
-
   void end_superstep() {
     // Fold the worker lanes' degree counters into lane 0 (commutative sums,
     // so the result is independent of how VPs were scheduled), then turn
     // them into this superstep's degree vector.
-    for (std::size_t w = 1; w < lanes_.size(); ++w) lanes_[0].absorb(lanes_[w]);
-    lanes_[0].finalize_into(record_);
+    for (std::size_t w = 1; w < lanes_.size(); ++w) {
+      lanes_[0].acc.absorb(lanes_[w].acc);
+    }
+    lanes_[0].acc.finalize_into(record_);
     trace_.append(std::move(record_));
     record_ = SuperstepRecord{};
 
-    // Deliver: staged sends become the next superstep's inboxes. Only the
-    // VPs that staged a send are walked — each lane lists its senders in
-    // ascending index and the lanes hold ascending chunks, so the lanes in
-    // order give ascending sender order (each outbox already holds its
-    // sender's messages in send order). Two passes: count per-destination
-    // sizes so every inbox grows exactly once, then fill. Only the inboxes
-    // the previous sync filled need clearing; the rest are empty.
-    for (const std::uint64_t r : filled_) inbox_[r].clear();
+    // Deliver: the staged sends become the next superstep's inboxes, laid
+    // out in one flat array. The lanes in order hold the sends in ascending
+    // sender order, each sender's in send order, which is inbox order. Only
+    // the boxes the previous sync filled need clearing. Then two passes over
+    // the staged sends: count per destination, listing each destination
+    // once, then place each message at its destination's cursor.
+    for (const std::uint64_t r : filled_) box_[r] = Box{};
     filled_.clear();
-    for (const auto& senders : senders_) {
-      for (const std::uint64_t r : senders) {
-        for (const Staged& s : outbox_[r]) {
-          if (inbox_count_[s.dst]++ == 0) filled_.push_back(s.dst);
-        }
+    std::size_t total = 0;
+    for (const Lane& lane : lanes_) {
+      for (const Staged& s : lane.staged) {
+        if (box_[s.dst].count++ == 0) filled_.push_back(s.dst);
       }
+      total += lane.staged.size();
     }
+    std::uint64_t begin = 0;
     for (const std::uint64_t r : filled_) {
-      inbox_[r].reserve(inbox_count_[r]);
-      peak_inbox_ = std::max(peak_inbox_, inbox_count_[r]);
-      inbox_count_[r] = 0;
+      Box& box = box_[r];
+      box.begin = begin;
+      begin += box.count;
+      peak_inbox_ = std::max(peak_inbox_, box.count);
+      box.count = 0;
     }
-    for (auto& senders : senders_) {
-      for (const std::uint64_t r : senders) {
-        for (Staged& s : outbox_[r]) {
-          inbox_[s.dst].push_back(MessageT{r, std::move(s.data)});
-        }
-        outbox_[r].clear();
+    // Size mail_ to this sync's count. A buffer too small, or more than
+    // twice too large, is released before the new one is allocated, so two
+    // never coexist.
+    mail_.clear();
+    if (total > mail_.capacity() || 2 * total < mail_.capacity()) {
+      std::vector<MessageT>().swap(mail_);
+    }
+    mail_.resize(total);
+    for (Lane& lane : lanes_) {
+      for (Staged& s : lane.staged) {
+        Box& box = box_[s.dst];
+        mail_[box.begin + box.count++] = MessageT{s.src, std::move(s.data)};
       }
-      senders.clear();
+      lane.last_staged = lane.staged.size();
+      std::vector<Staged>().swap(lane.staged);
     }
     in_superstep_ = false;
   }
 
-  void check_cluster(std::uint64_t src, std::uint64_t dst) const {
+  void check_send(std::uint64_t src, std::uint64_t dst) const {
+    if (dst >= v_ || ((src ^ dst) >> breach_shift_) != 0) [[unlikely]] {
+      fail_send(src, dst);
+    }
+  }
+
+  /// Cold path of check_send: exactly one of the two throws fires.
+  [[noreturn]] void fail_send(std::uint64_t src, std::uint64_t dst) const {
     if (dst >= v_) {
       throw std::out_of_range("Machine: destination VP out of range");
     }
-    if (shared_msb(src, dst, log_v_) < label_) {
-      throw ClusterViolation(
-          "Machine: message leaves the sender's " + std::to_string(label_) +
-          "-cluster (src=" + std::to_string(src) +
-          ", dst=" + std::to_string(dst) + ")");
-    }
+    throw ClusterViolation(
+        "Machine: message leaves the sender's " + std::to_string(label_) +
+        "-cluster (src=" + std::to_string(src) +
+        ", dst=" + std::to_string(dst) + ")");
   }
 
   void enqueue(std::uint64_t src, unsigned lane, std::uint64_t dst,
                Payload data) {
     if (!in_superstep_) throw std::logic_error("Machine: send outside superstep");
-    check_cluster(src, dst);
-    lanes_[lane].count(src, dst, 1);
-    outbox_[src].push_back(Staged{dst, std::move(data)});
+    check_send(src, dst);
+    Lane& l = lanes_[lane];
+    l.acc.count(src, dst, 1);
+    l.staged.push_back(Staged{static_cast<std::uint32_t>(src),
+                              static_cast<std::uint32_t>(dst),
+                              std::move(data)});
   }
 
   void enqueue_dummy(std::uint64_t src, unsigned lane, std::uint64_t dst,
                      std::uint64_t count) {
     if (!in_superstep_) throw std::logic_error("Machine: send outside superstep");
     if (count == 0) return;
-    check_cluster(src, dst);
-    lanes_[lane].count(src, dst, count);
+    check_send(src, dst);
+    lanes_[lane].acc.count(src, dst, count);
   }
 
   unsigned log_v_;
@@ -378,24 +436,19 @@ class Machine {
   Trace trace_;
   std::uint64_t peak_inbox_ = 0;
 
-  std::vector<std::vector<MessageT>> inbox_;
-  /// outbox_[r]: messages VP r staged this superstep, in send order. Only
-  /// the owning VP touches it during the body; the sync merges and clears.
-  std::vector<std::vector<Staged>> outbox_;
-  /// Per-destination delivery sizes of the running sync (first pass);
-  /// zero again once the sync is done.
-  std::vector<std::uint64_t> inbox_count_;
+  /// Every message the last sync delivered, grouped by recipient.
+  std::vector<MessageT> mail_;
+  /// box_[r]: VP r's slice of mail_.
+  std::vector<Box> box_;
   /// VPs whose inbox the last sync filled, in first-delivery order.
   std::vector<std::uint64_t> filled_;
 
   std::unique_ptr<WorkerPool> pool_;  ///< null under the sequential engine
-  std::vector<DegreeAccumulator> lanes_;  ///< one per worker (1 if sequential)
-  /// senders_[w]: VPs run by lane w that staged a send this superstep, in
-  /// ascending index (note_sender appends each after its body).
-  std::vector<std::vector<std::uint64_t>> senders_;
+  std::vector<Lane> lanes_;  ///< one per worker (1 if sequential)
 
   bool in_superstep_ = false;
   unsigned label_ = 0;
+  unsigned breach_shift_ = 0;  ///< log_v - label of the open superstep
   SuperstepRecord record_;
 };
 

@@ -12,9 +12,27 @@ DegreeAccumulator::DegreeAccumulator(unsigned log_v)
       split_(v_, 0),
       active_(2 * v_, 0) {}
 
+bool DegreeAccumulator::open_range(unsigned label, std::uint64_t first,
+                                   std::uint64_t last) {
+  // label >= log_v only on M(1), whose messages are all self-messages.
+  if (first >= last || label >= log_v_) return false;
+  const unsigned shift = log_v_ - label;  // i-clusters hold 2^shift VPs
+  const std::uint64_t lo = (first >> shift) << shift;
+  const std::uint64_t hi = (((last - 1) >> shift) + 1) << shift;
+  if (2 * (last - first) < hi - lo) return false;
+  ranged_ = true;
+  range_label_ = label;
+  range_lo_ = lo;
+  range_hi_ = hi;
+  return true;
+}
+
 void DegreeAccumulator::absorb(DegreeAccumulator& other) {
   if (other.log_v_ != log_v_) {
     throw std::invalid_argument("DegreeAccumulator::absorb: fold mismatch");
+  }
+  if (ranged_ || other.ranged_) {
+    throw std::logic_error("DegreeAccumulator::absorb: range mode");
   }
   local_ += other.local_;
   other.local_ = 0;
@@ -40,6 +58,10 @@ void DegreeAccumulator::finalize_into(SuperstepRecord& record) {
   if (record.degree.size() != static_cast<std::size_t>(log_v_) + 1) {
     throw std::invalid_argument(
         "DegreeAccumulator::finalize_into: degree vector size mismatch");
+  }
+  if (ranged_) {
+    sweep_range(record);
+    return;
   }
   // Level j's S and R are complete once the level below has been added in:
   // take their peak, hand them to the parents, zero the node. The root's
@@ -71,6 +93,47 @@ void DegreeAccumulator::finalize_into(SuperstepRecord& record) {
       });
   record.messages = messages;
   local_ = 0;
+}
+
+void DegreeAccumulator::sweep_range(SuperstepRecord& record) {
+  // Level j holds nodes [a, b): the leaves of [lo, hi) first, then their
+  // ancestors. lo and hi are multiples of the i-cluster size, so every
+  // level down to the i-clusters (level range_label_) is a whole range.
+  std::uint64_t a = v_ + range_lo_;
+  std::uint64_t b = v_ + range_hi_;
+  std::uint64_t messages = local_;
+  std::uint64_t peak = 0;
+  for (std::uint64_t n = a; n < b; ++n) {
+    messages += sent_[n];
+    peak = std::max(peak, std::max(sent_[n], recv_[n]));
+  }
+  record.degree[log_v_] = peak;
+  for (unsigned j = log_v_; j > range_label_; --j) {
+    // Build level j - 1 from level j, zeroing level j on the way. At the
+    // i-clusters (j - 1 == range_label_) S and R come out exactly zero: no
+    // message leaves an i-cluster.
+    a >>= 1;
+    b >>= 1;
+    peak = 0;
+    for (std::uint64_t n = a; n < b; ++n) {
+      const std::uint64_t s = sent_[2 * n] + sent_[2 * n + 1] - split_[n];
+      const std::uint64_t r = recv_[2 * n] + recv_[2 * n + 1] - split_[n];
+      sent_[2 * n] = 0;
+      sent_[2 * n + 1] = 0;
+      recv_[2 * n] = 0;
+      recv_[2 * n + 1] = 0;
+      split_[n] = 0;
+      sent_[n] = s;
+      recv_[n] = r;
+      peak = std::max(peak, std::max(s, r));
+    }
+    record.degree[j - 1] = j - 1 > range_label_ ? peak : 0;
+  }
+  // Folds at or below the label keep every message local.
+  for (unsigned j = 1; j < range_label_; ++j) record.degree[j] = 0;
+  record.messages = messages;
+  local_ = 0;
+  ranged_ = false;
 }
 
 void Trace::append(SuperstepRecord record) {

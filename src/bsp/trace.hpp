@@ -62,18 +62,47 @@ struct SuperstepRecord {
 /// R for receives): the messages that cross between A and B leave a half
 /// but stay inside P.
 ///
-/// finalize_into() walks the touched nodes bottom-up, one level at a time:
-/// h(2^j) is the max of max(S, R) over level j, each node's S and R are
-/// added into its parent, and each node is zeroed as the walk leaves it.
-/// For t touched VPs the walk visits Σ_j t_j <= 2t + t·log(v/t) nodes — it
-/// costs what the traffic touched, never v. The subtraction is modular u64
-/// arithmetic, so every S and R is the exact count modulo 2^64: the value
-/// a direct u64 sum holds. The historical fold-per-message implementation
-/// is retained as ReferenceDegreeAccumulator (bsp/degree_reference.hpp) and
-/// checked against this one by tests/bsp/test_degree_differential.cpp.
+/// A superstep closes in one of two modes, both costing O(active VPs +
+/// traffic), never O(v):
+///
+///   Touch mode (the default). count() flags every node it charges and
+///   lists it in touched_. finalize_into() walks the touched nodes
+///   bottom-up, one level at a time: h(2^j) is the max of max(S, R) over
+///   level j, each node's S and R are added into its parent, and each node
+///   is zeroed as the walk leaves it. For t touched VPs the walk visits
+///   Σ_j t_j <= 2t + t·log(v/t) nodes.
+///
+///   Range mode (open_range()). In an i-superstep every message stays
+///   inside its sender's i-cluster (Section 2), so when the active VPs are
+///   a range [first, last), every charged leaf lies in [lo, hi): the range
+///   rounded out to i-cluster bounds. When [first, last) covers at least
+///   half of [lo, hi), count() skips the flags and finalize_into() sweeps
+///   [lo, hi) contiguously, level by level from the leaves up to the
+///   i-clusters: each parent n gets S = S(2n) + S(2n+1) - split(n) (same
+///   for R) and its children are zeroed on the way up. The sweep visits
+///   fewer than 2(hi - lo) <= 4(last - first) nodes. Above level i every
+///   S and R is zero, so the sweep stops there.
+///
+/// The subtraction is modular u64 arithmetic, so every S and R is the exact
+/// count modulo 2^64: the value a direct u64 sum holds. The historical
+/// fold-per-message implementation is retained as
+/// ReferenceDegreeAccumulator (bsp/degree_reference.hpp) and checked
+/// against this one by tests/bsp/test_degree_differential.cpp.
 class DegreeAccumulator {
  public:
   explicit DegreeAccumulator(unsigned log_v);
+
+  /// Put the open superstep, an i-superstep (i = `label`) whose active VPs
+  /// are [first, last), into range mode when the rule in the class comment
+  /// allows it; returns whether it did. Call on a freshly finalized
+  /// accumulator, before counting; finalize_into() returns it to touch
+  /// mode. Requires first <= last <= v, label < log v, and every message
+  /// counted before the close to stay inside its sender's label-cluster
+  /// (the superstep drivers check all three).
+  bool open_range(unsigned label, std::uint64_t first, std::uint64_t last);
+
+  /// Whether the open superstep is in range mode.
+  [[nodiscard]] bool ranged() const noexcept { return ranged_; }
 
   /// Account `count` unit messages src -> dst at every fold that separates
   /// the endpoints. Self-messages only contribute to the message total.
@@ -86,8 +115,10 @@ class DegreeAccumulator {
       return;
     }
     const std::uint64_t v = v_;  // one load: touch()'s byte stores may alias
-    touch(v + src);
-    touch(v + dst);
+    if (!ranged_) {
+      touch(v + src);
+      touch(v + dst);
+    }
     sent_[v + src] += count;
     recv_[v + dst] += count;
     split_[(v + src) >> std::bit_width(src ^ dst)] += count;
@@ -96,9 +127,9 @@ class DegreeAccumulator {
   /// Raw node access for drivers that inline the receive and split halves of
   /// count() (CostBackend::VpRefT). For a message src -> dst with
   /// src != dst the caller flags active_data()[n] and note_touched(n) on the
-  /// first touch of leaf n = v + dst, bumps recv_data()[n] and
-  /// split_data()[(v + src) >> bit_width(src ^ dst)], and hands the
-  /// sender's totals to flush_sent().
+  /// first touch of leaf n = v + dst (in touch mode only), bumps
+  /// recv_data()[n] and split_data()[(v + src) >> bit_width(src ^ dst)],
+  /// and hands the sender's totals to flush_sent().
   [[nodiscard]] std::uint8_t* active_data() noexcept { return active_.data(); }
   [[nodiscard]] std::uint64_t* recv_data() noexcept { return recv_.data(); }
   [[nodiscard]] std::uint64_t* split_data() noexcept { return split_.data(); }
@@ -110,12 +141,13 @@ class DegreeAccumulator {
                   std::uint64_t local) {
     local_ += local;
     if (cross == 0) return;
-    touch(v_ + src);
+    if (!ranged_) touch(v_ + src);
     sent_[v_ + src] += cross;
   }
 
   /// Fold `other` into this accumulator, resetting `other` for reuse.
-  /// Walks the nodes touched in `other`, like finalize_into.
+  /// Walks the nodes touched in `other`, like finalize_into. Both must be in
+  /// touch mode.
   void absorb(DegreeAccumulator& other);
 
   /// Write degree[j] = h(2^j) for every j >= 1 and the message total into
@@ -130,6 +162,10 @@ class DegreeAccumulator {
       touched_.push_back(n);
     }
   }
+
+  /// Range mode's close: sweep [range_lo_, range_hi_) up to level
+  /// range_label_ (class comment).
+  void sweep_range(SuperstepRecord& record);
 
   /// Visit the touched nodes bottom-up: visit(n, j) for every node n of
   /// level j, from the leaves (j = log_v) to the root (j = 0), then
@@ -159,11 +195,17 @@ class DegreeAccumulator {
   unsigned log_v_;
   std::uint64_t v_;
   std::uint64_t local_ = 0;  ///< self-traffic of the open superstep
+  // Range mode of the open superstep: leaves [range_lo_, range_hi_) and the
+  // level of its i-clusters.
+  bool ranged_ = false;
+  unsigned range_label_ = 0;
+  std::uint64_t range_lo_ = 0;
+  std::uint64_t range_hi_ = 0;
   // Heap-indexed nodes (class comment): sent_/recv_ over all 2v nodes (the
-  // leaves hold counts, internal nodes only the walk's partial sums),
-  // split_ over the internal nodes 1 .. v - 1. active_ flags and touched_
-  // list the touched nodes so finalize/absorb cost scales with the traffic,
-  // not with v.
+  // leaves hold counts, internal nodes only the close's partial sums),
+  // split_ over the internal nodes 1 .. v - 1. In touch mode active_ flags
+  // and touched_ list the touched nodes so finalize/absorb cost scales with
+  // the traffic, not with v.
   std::vector<std::uint64_t> sent_;
   std::vector<std::uint64_t> recv_;
   std::vector<std::uint64_t> split_;

@@ -148,6 +148,12 @@ class DistributedBackend {
   template <typename Body>
   void superstep_range(unsigned label, std::uint64_t first, std::uint64_t last,
                        Body&& body) {
+    // Every worker sees the same bounds, so every worker reaches the same
+    // verdict (CostBackend parity).
+    if (first > last || last > v_) {
+      throw std::invalid_argument(
+          "DistributedBackend: superstep range needs first <= last <= v");
+    }
     begin_superstep(label);
     const std::uint64_t lo = first > first_ ? first : first_;
     const std::uint64_t hi = last < last_ ? last : last_;

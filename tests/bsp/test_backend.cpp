@@ -12,6 +12,7 @@
 #include "../algorithms/degree_check.hpp"
 #include "algorithms/primitives.hpp"
 #include "algorithms/scan.hpp"
+#include "audit/backend.hpp"
 #include "bsp/machine.hpp"
 #include "core/workloads.hpp"
 
@@ -89,6 +90,59 @@ TEST(CostBackend, EnforcesSimulatorValidationRules) {
   EXPECT_THROW(
       bk4.superstep(0, [&](auto&) { bk4.superstep(0, [](auto&) {}); }),
       std::logic_error);
+}
+
+// superstep_range requires first <= last <= v on every backend, each
+// throwing std::invalid_argument before any body runs. A range past v once
+// overran the simulator's degree counters.
+TEST(Backends, SuperstepRangeBoundsAreCheckedEverywhere) {
+  const auto past_v = [](auto& bk) {
+    bk.superstep_range(0, 2, 8, [](auto& vp) { vp.send(vp.id() ^ 1, 1); });
+  };
+  const auto reversed = [](auto& bk) {
+    bk.superstep_range(0, 3, 2, [](auto&) {});
+  };
+  const auto edges = [](auto& bk) {
+    bk.superstep_range(0, 4, 4, [](auto&) {});
+    bk.superstep_range(0, 0, 4, [](auto& vp) { vp.send(vp.id() ^ 1, 1); });
+  };
+  const auto expect_each_backend = [](const auto& program, bool rejects) {
+    const auto check = [rejects](auto&& run) {
+      if (rejects) {
+        EXPECT_THROW(run(), std::invalid_argument);
+      } else {
+        EXPECT_NO_THROW(run());
+      }
+    };
+    check([&] {
+      Machine<int> bk(4);
+      program(bk);
+    });
+    check([&] {
+      Machine<int> bk(4, ExecutionPolicy::parallel(2));
+      program(bk);
+    });
+    check([&] {
+      CostBackend bk(4);
+      program(bk);
+    });
+    check([&] {
+      RecordBackend bk(4);
+      program(bk);
+    });
+    check([&] {
+      audit::AuditBackend bk(4);
+      program(bk);
+    });
+    check([&] {
+      RunOptions options;
+      options.backend = BackendKind::kDistributed;
+      (void)run_for_trace<int>(4, options, program);
+    });
+  };
+  expect_each_backend(past_v, true);
+  expect_each_backend(reversed, true);
+  expect_each_backend(edges, false);
 }
 
 TEST(CostBackend, DummyBurstsAndSelfMessages) {

@@ -4,10 +4,16 @@
 // labels, dummy traffic (count > 1, up to ~2^40), self-messages, sparse
 // active sets, traffic confined to one deep cluster, dense all-to-all,
 // accumulator reuse across alternating dense and sparse supersteps, and
-// 1..8 worker lanes folded with absorb().
+// 1..8 worker lanes folded with absorb(). Range mode (open_range) is held to
+// the same reference: ranges covering partial clusters, one-VP ranges that
+// must stay in touch mode, range and touch supersteps on one accumulator,
+// and dummy bursts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bsp/degree_reference.hpp"
@@ -201,6 +207,178 @@ TEST(DegreeDifferential, AlternatingDenseAndSparseReuse) {
   for (unsigned lanes = 1; lanes <= 8; ++lanes) {
     expect_steps_match(kLogV, lanes, steps, 300 + lanes);
   }
+}
+
+// A range superstep: the i-superstep (i = label) whose active VPs are
+// [first, last), each sending to peers inside its own i-cluster.
+struct RangeStep {
+  unsigned label;
+  std::uint64_t first;
+  std::uint64_t last;
+  Step msgs;
+};
+
+// Whether open_range must take range mode: [first, last) non-empty and
+// covering at least half of itself rounded out to label-cluster bounds.
+bool expect_ranged(unsigned log_v, const RangeStep& step) {
+  if (step.first >= step.last || step.label >= log_v) return false;
+  const std::uint64_t cluster = (std::uint64_t{1} << log_v) >> step.label;
+  const std::uint64_t lo = step.first / cluster * cluster;
+  const std::uint64_t hi = (step.last + cluster - 1) / cluster * cluster;
+  return 2 * (step.last - step.first) >= hi - lo;
+}
+
+// Every VP of [first, last) sends 0..3 messages (self-messages and dummies
+// included) to peers in its label-cluster, which may reach outside the range.
+RangeStep random_range_step(unsigned log_v, unsigned label,
+                            std::uint64_t first, std::uint64_t last,
+                            Xoshiro256& rng) {
+  const std::uint64_t cluster = (std::uint64_t{1} << log_v) >> label;
+  RangeStep step{label, first, last, {}};
+  for (std::uint64_t src = first; src < last; ++src) {
+    const std::uint64_t base = src & ~(cluster - 1);
+    for (std::uint64_t m = rng.below(4); m > 0; --m) {
+      const std::uint64_t dst =
+          rng.below(8) == 0 ? src : base + rng.below(cluster);
+      const std::uint64_t count = rng.below(4) == 0 ? 1 + rng.below(5) : 1;
+      step.msgs.push_back(Msg{src, dst, count});
+    }
+  }
+  return step;
+}
+
+// One accumulator, reused across every step, opened with open_range on the
+// range steps and left in touch mode on the others; each step checked
+// against a fresh reference.
+void expect_range_steps_match(unsigned log_v,
+                              const std::vector<RangeStep>& steps,
+                              const std::vector<bool>& open) {
+  DegreeAccumulator fast(log_v);
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    const RangeStep& step = steps[k];
+    if (open[k]) {
+      EXPECT_EQ(fast.open_range(step.label, step.first, step.last),
+                expect_ranged(log_v, step))
+          << "log_v=" << log_v << " step=" << k;
+    }
+    EXPECT_EQ(fast.ranged(), open[k] && expect_ranged(log_v, step));
+    ReferenceDegreeAccumulator ref(log_v);
+    for (const Msg& m : step.msgs) {
+      fast.count(m.src, m.dst, m.count);
+      ref.count(m.src, m.dst, m.count);
+    }
+    SuperstepRecord a = blank_record(log_v);
+    SuperstepRecord b = blank_record(log_v);
+    fast.finalize_into(a);
+    ref.finalize_into(b);
+    EXPECT_FALSE(fast.ranged()) << "finalize_into must leave range mode";
+    expect_records_equal(a, b, log_v, 1, static_cast<unsigned>(k));
+  }
+}
+
+TEST(DegreeDifferential, RangeModeMatchesReference) {
+  for (const unsigned log_v : {1u, 2u, 3u, 6u, 10u}) {
+    const std::uint64_t v = std::uint64_t{1} << log_v;
+    Xoshiro256 rng(500 + log_v);
+    std::vector<RangeStep> steps;
+    for (unsigned k = 0; k < 40; ++k) {
+      const auto label = static_cast<unsigned>(rng.below(log_v));
+      std::uint64_t first = rng.below(v + 1);
+      std::uint64_t last = rng.below(v + 1);
+      if (first > last) std::swap(first, last);
+      steps.push_back(random_range_step(log_v, label, first, last, rng));
+    }
+    // Partial clusters at both ends: the middle half of two clusters, and
+    // half a cluster, at the deepest label and at label 0.
+    const unsigned deep = log_v - 1;
+    const std::uint64_t c = v >> deep;  // 2
+    if (log_v >= 2) {
+      steps.push_back(random_range_step(log_v, deep, c / 2, c + c / 2, rng));
+    }
+    steps.push_back(random_range_step(log_v, deep, v - c, v - c / 2, rng));
+    steps.push_back(random_range_step(log_v, 0, v / 4, (3 * v) / 4, rng));
+    steps.push_back(random_range_step(log_v, 0, 0, v, rng));
+    expect_range_steps_match(log_v, steps,
+                             std::vector<bool>(steps.size(), true));
+  }
+}
+
+// At label 0 the one cluster is the whole machine: a one-VP range covers
+// 1/v of it and must stay in touch mode, whose close costs the traffic, not
+// v. The VP talks to every other VP.
+TEST(DegreeDifferential, LabelZeroOneVpRangesStayInTouchMode) {
+  constexpr unsigned kLogV = 10;
+  constexpr std::uint64_t kV = std::uint64_t{1} << kLogV;
+  std::vector<RangeStep> steps;
+  for (const std::uint64_t r : {std::uint64_t{0}, std::uint64_t{417},
+                                kV - 1}) {
+    RangeStep step{0, r, r + 1, {}};
+    for (std::uint64_t dst = 0; dst < kV; dst += 7) {
+      step.msgs.push_back(Msg{r, dst, 1});
+    }
+    steps.push_back(std::move(step));
+  }
+  for (const RangeStep& step : steps) EXPECT_FALSE(expect_ranged(kLogV, step));
+  expect_range_steps_match(kLogV, steps, std::vector<bool>(steps.size(), true));
+}
+
+// Range, then touch-mode (sparse) supersteps, then range again on one
+// accumulator: neither mode may leave residue the other picks up.
+TEST(DegreeDifferential, RangeSparseRangeReuse) {
+  constexpr unsigned kLogV = 12;
+  constexpr std::uint64_t kV = std::uint64_t{1} << kLogV;
+  Xoshiro256 rng(4242);
+  std::vector<RangeStep> steps;
+  std::vector<bool> open;
+  for (unsigned k = 0; k < 30; ++k) {
+    if (k % 3 == 1) {
+      // Sparse: one deep cluster's worth of traffic, counted in touch mode.
+      const Step msgs = deep_cluster_step(kV, 128, rng);
+      steps.push_back(RangeStep{5, 0, 0, msgs});
+      open.push_back(false);
+    } else {
+      // stencil2's level shape: [0, 2·span) at label log v - log span.
+      const unsigned log_span = 3 + static_cast<unsigned>(rng.below(8));
+      const std::uint64_t span = std::uint64_t{1} << log_span;
+      steps.push_back(random_range_step(kLogV, kLogV - log_span, 0,
+                                        std::min(kV, 2 * span), rng));
+      open.push_back(true);
+    }
+  }
+  expect_range_steps_match(kLogV, steps, open);
+}
+
+// Dummy bursts near 2^40 (and past 2^64 in the sums) through the sweep's
+// modular subtraction.
+TEST(DegreeDifferential, RangeModeDummyBurstsNearTwoToTheForty) {
+  for (const unsigned log_v : {3u, 10u}) {
+    const std::uint64_t v = std::uint64_t{1} << log_v;
+    Xoshiro256 rng(640 + log_v);
+    std::vector<RangeStep> steps;
+    for (unsigned k = 0; k < 8; ++k) {
+      const unsigned shift = k < 6 ? 40 : 62;
+      const auto label = static_cast<unsigned>(rng.below(log_v));
+      const std::uint64_t cluster = v >> label;
+      RangeStep step{label, 0, v, {}};
+      for (unsigned m = 0; m < 300; ++m) {
+        const std::uint64_t src = rng.below(v);
+        const std::uint64_t dst = (src & ~(cluster - 1)) + rng.below(cluster);
+        const std::uint64_t count =
+            (std::uint64_t{1} << shift) - 1 - rng.below(1u << 20);
+        step.msgs.push_back(Msg{src, dst, count});
+      }
+      steps.push_back(std::move(step));
+    }
+    expect_range_steps_match(log_v, steps,
+                             std::vector<bool>(steps.size(), true));
+  }
+}
+
+TEST(DegreeDifferential, AbsorbRejectsRangeMode) {
+  DegreeAccumulator a(4);
+  DegreeAccumulator b(4);
+  ASSERT_TRUE(b.open_range(0, 0, 16));
+  EXPECT_THROW(a.absorb(b), std::logic_error);
 }
 
 // Mixed-label replay through the simulator: every superstep's recorded

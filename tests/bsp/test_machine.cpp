@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -370,6 +372,133 @@ TEST(Machine, SparseDeliveryKeepsSenderOrderAcrossEngines) {
           << "threads=" << threads << " step=" << k;
     }
   }
+}
+
+// The flat mailboxes must carry any payload: a move-only one (moved from
+// the staging buffer into the inbox, never copied) and a heap-owning one.
+// Range, sparse and range supersteps in turn — ranges over partial
+// clusters, so the sequential engine closes them with the range sweep —
+// under the sequential engine and the parallel engine at 1-8 threads: the
+// same inboxes, in the same order, the same peak and the same trace.
+template <typename Payload, typename Make, typename Read>
+void expect_payload_mail_across_engines(Make make, Read read) {
+  constexpr unsigned kLogV = 8;
+  constexpr std::uint64_t kV = std::uint64_t{1} << kLogV;
+  struct Step {
+    unsigned label;
+    bool sparse;
+    std::vector<std::uint64_t> active;             // ascending
+    std::vector<std::vector<std::uint64_t>> dsts;  // per active position
+  };
+  const auto range = [](std::uint64_t first, std::uint64_t last) {
+    std::vector<std::uint64_t> ids(last - first);
+    std::iota(ids.begin(), ids.end(), first);
+    return ids;
+  };
+  Xoshiro256 rng(99);
+  std::vector<Step> plan;
+  for (unsigned round = 0; round < 3; ++round) {
+    // [16, 112) at label 2 rounds out to [0, 128); [40, 56) at label 3 is
+    // half of the 32-VP cluster [32, 64).
+    plan.push_back(Step{2, false, range(16, 112), {}});
+    std::vector<std::uint64_t> sparse;
+    for (std::uint64_t r = 0; r < kV; ++r) {
+      if (rng.below(5) == 0) sparse.push_back(r);
+    }
+    plan.push_back(Step{1, true, sparse, {}});
+    plan.push_back(Step{3, false, range(40, 56), {}});
+  }
+  for (Step& step : plan) {
+    const std::uint64_t cluster = kV >> step.label;
+    for (const std::uint64_t r : step.active) {
+      std::vector<std::uint64_t> dsts;
+      for (std::uint64_t m = rng.below(4); m > 0; --m) {
+        dsts.push_back((r & ~(cluster - 1)) + rng.below(cluster));
+      }
+      step.dsts.push_back(std::move(dsts));
+    }
+  }
+
+  using Inbox = std::vector<std::pair<std::uint64_t, std::string>>;
+  std::vector<std::vector<Inbox>> expected;
+  std::vector<std::uint64_t> expected_peak;
+  std::uint64_t peak = 0;
+  for (const Step& step : plan) {
+    std::vector<Inbox> in(kV);
+    for (std::size_t pos = 0; pos < step.active.size(); ++pos) {
+      const std::uint64_t r = step.active[pos];
+      for (std::size_t seq = 0; seq < step.dsts[pos].size(); ++seq) {
+        in[step.dsts[pos][seq]].emplace_back(r, read(make(r, seq)));
+      }
+    }
+    for (const Inbox& box : in) {
+      peak = std::max<std::uint64_t>(peak, box.size());
+    }
+    expected.push_back(std::move(in));
+    expected_peak.push_back(peak);
+  }
+
+  Trace reference;
+  for (unsigned threads = 0; threads <= 8; ++threads) {
+    Machine<Payload> m(kV, threads == 0 ? ExecutionPolicy::sequential()
+                                        : ExecutionPolicy::parallel(threads));
+    for (std::size_t k = 0; k < plan.size(); ++k) {
+      const Step& step = plan[k];
+      const auto body = [&](Vp<Payload>& vp) {
+        const auto it = std::lower_bound(step.active.begin(),
+                                         step.active.end(), vp.id());
+        const auto& dsts = step.dsts[it - step.active.begin()];
+        for (std::size_t seq = 0; seq < dsts.size(); ++seq) {
+          vp.send(dsts[seq], make(vp.id(), seq));
+        }
+      };
+      if (step.sparse) {
+        m.superstep_sparse(step.label, step.active, body);
+      } else {
+        m.superstep_range(step.label, step.active.front(),
+                          step.active.back() + 1, body);
+      }
+      for (std::uint64_t r = 0; r < kV; ++r) {
+        Inbox got;
+        for (const Message<Payload>& msg : m.inbox(r)) {
+          got.emplace_back(msg.src, read(msg.data));
+        }
+        ASSERT_EQ(got, expected[k][r])
+            << "threads=" << threads << " step=" << k << " vp=" << r;
+      }
+      EXPECT_EQ(m.peak_inbox_messages(), expected_peak[k])
+          << "threads=" << threads << " step=" << k;
+    }
+    if (threads == 0) {
+      reference = m.trace();
+      continue;
+    }
+    ASSERT_EQ(m.trace().supersteps(), reference.supersteps());
+    for (std::size_t s = 0; s < reference.supersteps(); ++s) {
+      EXPECT_EQ(m.trace().steps()[s].degree, reference.steps()[s].degree)
+          << "threads=" << threads << " superstep=" << s;
+      EXPECT_EQ(m.trace().steps()[s].messages, reference.steps()[s].messages)
+          << "threads=" << threads << " superstep=" << s;
+    }
+  }
+}
+
+TEST(Machine, MoveOnlyPayloadAcrossRangeSparseRange) {
+  expect_payload_mail_across_engines<std::unique_ptr<int>>(
+      [](std::uint64_t src, std::size_t seq) {
+        return std::make_unique<int>(static_cast<int>(src * 8 + seq));
+      },
+      [](const std::unique_ptr<int>& p) { return std::to_string(*p); });
+}
+
+TEST(Machine, HeapOwningPayloadAcrossRangeSparseRange) {
+  expect_payload_mail_across_engines<std::string>(
+      [](std::uint64_t src, std::size_t seq) {
+        // Longer than any small-string buffer: every payload owns heap.
+        return std::string(32 + seq, static_cast<char>('a' + src % 26)) +
+               std::to_string(src);
+      },
+      [](const std::string& s) { return s; });
 }
 
 // Folding invariant (the engine-level form of Lemma 3.1): for a random
