@@ -2,12 +2,11 @@
 //
 // The sixth interpreter of the Program IR (after simulate / cost / record /
 // analytic / distributed): it drives the same superstep bodies as
-// CostBackend — sequentially, payload-free, with identical validation
-// (label range, no nesting, strictly increasing sparse sets, destination
-// range, i-cluster containment) — but instead of degree accounting it
-// performs taint-style abstract interpretation of the communication
-// structure. A program instantiated with Tainted payloads (audit/taint.hpp)
-// runs once; the backend classifies every superstep:
+// CostBackend — sequentially, payload-free, through the same superstep
+// driver and validation (bsp/superstep.hpp) — but instead of degree
+// accounting it performs taint-style abstract interpretation of the
+// communication structure. A program instantiated with Tainted payloads
+// (audit/taint.hpp) runs once; the backend classifies every superstep:
 //
 //   * tainted destination — a send whose dst is a tracked value carrying
 //     taint: the message's endpoint depends on input data;
@@ -27,15 +26,11 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <stdexcept>
-#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "audit/taint.hpp"
-#include "bsp/machine.hpp"
-#include "util/bits.hpp"
+#include "bsp/superstep.hpp"
 #include "util/dep.hpp"
 
 namespace nobl::audit {
@@ -99,18 +94,17 @@ struct AuditReport {
   }
 };
 
-/// The taint-interpreting backend. Validation parity with CostBackend is
-/// deliberate and pinned by tests: a program that audits also certifies,
-/// and vice versa.
-class AuditBackend {
+/// The taint-interpreting backend. It shares the superstep driver with
+/// CostBackend, so a program that audits also certifies, and vice versa.
+class AuditBackend : public SuperstepDriver<AuditBackend> {
  public:
   static constexpr bool delivers = false;
 
   class VpRef {
    public:
     [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
-    [[nodiscard]] std::uint64_t v() const noexcept { return backend_->v_; }
-    [[nodiscard]] unsigned log_v() const noexcept { return backend_->log_v_; }
+    [[nodiscard]] std::uint64_t v() const noexcept { return backend_->v(); }
+    [[nodiscard]] unsigned log_v() const noexcept { return backend_->log_v(); }
 
     /// Classify and validate a real message. The destination may be a raw
     /// index or a tracked one; tracked-and-tainted destinations flag the
@@ -157,56 +151,9 @@ class AuditBackend {
 
   /// Create an audit backend for M(v). v must be a power of two. Drains any
   /// stale events off the thread's sink so reports never inherit history.
-  explicit AuditBackend(std::uint64_t v)
-      : log_v_(log2_exact(v)), v_(v) {
-    report_.log_v = log_v_;
+  explicit AuditBackend(std::uint64_t v) : SuperstepDriver(v) {
+    report_.log_v = log_v();
     (void)take_declassifications();
-  }
-
-  [[nodiscard]] std::uint64_t v() const noexcept { return v_; }
-  [[nodiscard]] unsigned log_v() const noexcept { return log_v_; }
-
-  template <typename Body>
-  void superstep(unsigned label, Body&& body) {
-    superstep_range(label, 0, v_, std::forward<Body>(body));
-  }
-
-  template <typename Body>
-  void superstep_range(unsigned label, std::uint64_t first, std::uint64_t last,
-                       Body&& body) {
-    if (first > last || last > v_) {
-      throw std::invalid_argument(
-          "AuditBackend: superstep range needs first <= last <= v");
-    }
-    begin_superstep(label);
-    for (std::uint64_t r = first; r < last; ++r) {
-      VpRef vp(this, r);
-      body(vp);
-    }
-    end_superstep();
-  }
-
-  template <typename Body>
-  void superstep_sparse(unsigned label, std::span<const std::uint64_t> active,
-                        Body&& body) {
-    begin_superstep(label);
-    std::uint64_t previous = 0;
-    bool first = true;
-    for (const std::uint64_t r : active) {
-      if (r >= v_ || (!first && r <= previous)) {
-        in_superstep_ = false;
-        throw std::invalid_argument(
-            "AuditBackend: sparse active set must be strictly increasing VP "
-            "ids");
-      }
-      previous = r;
-      first = false;
-    }
-    for (const std::uint64_t r : active) {
-      VpRef vp(this, r);
-      body(vp);
-    }
-    end_superstep();
   }
 
   /// Finish the run: attribute any post-superstep declassifications (final
@@ -218,46 +165,32 @@ class AuditBackend {
   }
 
  private:
-  void begin_superstep(unsigned label) {
-    const unsigned label_bound = log_v_ < 1 ? 1 : log_v_;
-    if (label >= label_bound) {
-      throw std::invalid_argument("AuditBackend: superstep label out of range");
-    }
-    if (in_superstep_) {
-      throw std::logic_error("AuditBackend: nested superstep");
-    }
-    in_superstep_ = true;
+  friend class SuperstepDriver<AuditBackend>;
+  static constexpr const char* kName = "AuditBackend";
+
+  template <typename Active>
+  void open_superstep(Active) {
     step_ = StepAudit{};
-    step_.label = label;
+    step_.label = label();
     // Host-phase declassifications since the previous barrier shaped THIS
     // step's structure (rosters, per-VP send counts) — attribute them here.
     step_.declassifications = take_declassifications();
-    breach_shift_ = log_v_ - label;
   }
 
-  void end_superstep() {
+  template <typename Active, typename Body>
+  void run_bodies(Active active, Body& body) {
+    for (std::uint64_t pos = 0; pos < active.size(); ++pos) {
+      VpRef vp(this, active[pos]);
+      body(vp);
+    }
+  }
+
+  void close_superstep() {
     // Declassifications inside bodies steer this step's own control flow.
     step_.declassifications += take_declassifications();
     report_.steps.push_back(step_);
-    in_superstep_ = false;
   }
 
-  void check_send(std::uint64_t src, std::uint64_t dst) const {
-    if (dst >= v_) {
-      throw std::out_of_range("AuditBackend: destination VP out of range");
-    }
-    if (((src ^ dst) >> breach_shift_) != 0) {
-      throw ClusterViolation(
-          "AuditBackend: message leaves the sender's " +
-          std::to_string(step_.label) + "-cluster (src=" + std::to_string(src) +
-          ", dst=" + std::to_string(dst) + ")");
-    }
-  }
-
-  unsigned log_v_;
-  std::uint64_t v_;
-  bool in_superstep_ = false;
-  unsigned breach_shift_ = 0;
   StepAudit step_{};
   AuditReport report_;
 };

@@ -2,7 +2,7 @@
 // paper's cost theory relies on, plus reconciliation of measured
 // communication against the registry's closed forms.
 //
-// A Schedule (bsp/backend.hpp) is the Program IR made first-class: the
+// A Schedule (bsp/schedule.hpp) is the Program IR made first-class: the
 // per-superstep (src, dst, count, dummy) event blocks. Everything the
 // D-BSP folding argument assumes about a well-formed pattern is checkable
 // from those events alone:
@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "bsp/backend.hpp"
+#include "bsp/schedule.hpp"
 #include "bsp/trace.hpp"
 #include "core/experiment.hpp"
 

@@ -43,25 +43,24 @@
 //     events in execution order. Schedules feed conformance oracles and
 //     re-derive the trace without re-running the program (replay_trace).
 //
-// Validation parity: cost/record backends enforce the same rules as the
-// simulator — label range, no nested supersteps, first <= last <= v for
-// superstep_range, strictly increasing sparse active sets, destination
-// range, and the i-cluster containment rule (ClusterViolation) — so a
-// program that certifies under CostBackend also runs under SimulateBackend,
-// and vice versa.
+// One driver: every backend derives its superstep drivers and its message
+// validation from SuperstepDriver (bsp/superstep.hpp), which writes the
+// rules of M(v) once, so a program that certifies under CostBackend also
+// runs under SimulateBackend, and vice versa, failing alike if it fails.
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <initializer_list>
-#include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "bsp/execution.hpp"
 #include "bsp/machine.hpp"
+#include "bsp/schedule.hpp"
+#include "bsp/superstep.hpp"
 #include "bsp/trace.hpp"
 #include "dist/backend.hpp"
 #include "util/bits.hpp"
@@ -100,7 +99,6 @@ enum class BackendKind : std::uint8_t {
 /// Every backend, in declaration order (registry entries default to this).
 [[nodiscard]] const std::vector<BackendKind>& all_backend_kinds();
 
-struct Schedule;
 class TraceWriter;
 
 /// How to execute one specification-model run: which backend interprets the
@@ -138,111 +136,11 @@ struct RunOptions {
 template <typename Payload>
 using SimulateBackend = Machine<Payload>;
 
-/// One recorded communication event: `count` unit messages src -> dst
-/// (count > 1 only for dummy traffic; real sends record one event each).
-/// This is a *row view* over ScheduleStep's columns — events are stored
-/// columnar, never as a vector of these.
-struct ScheduleSend {
-  std::uint64_t src = 0;
-  std::uint64_t dst = 0;
-  std::uint64_t count = 1;
-  bool dummy = false;
-
-  friend bool operator==(const ScheduleSend&, const ScheduleSend&) = default;
-};
-
-/// One recorded superstep as a columnar block: label plus parallel src /
-/// dst / count columns and a dummy bitmap (bit i of word i/64), in
-/// execution order (ascending sender under the sequential driver,
-/// per-sender send order). The same block layout the binary trace store
-/// uses: O(E) scans (ir_opt classification, replay) walk contiguous
-/// columns, equality and content hashing compare whole words.
-class ScheduleStep {
- public:
-  unsigned label = 0;
-
-  ScheduleStep() = default;
-  explicit ScheduleStep(unsigned step_label) : label(step_label) {}
-  /// Test/fixture convenience: build a block from rows.
-  ScheduleStep(unsigned step_label, std::initializer_list<ScheduleSend> rows)
-      : label(step_label) {
-    for (const ScheduleSend& row : rows) {
-      push(row.src, row.dst, row.count, row.dummy);
-    }
-  }
-
-  /// Append one event.
-  void push(std::uint64_t src, std::uint64_t dst, std::uint64_t count,
-            bool dummy) {
-    const std::size_t i = src_.size();
-    src_.push_back(src);
-    dst_.push_back(dst);
-    count_.push_back(count);
-    if ((i & 63) == 0) dummy_words_.push_back(0);
-    if (dummy) dummy_words_[i >> 6] |= std::uint64_t{1} << (i & 63);
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return src_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return src_.empty(); }
-
-  /// Materialize row i as a ScheduleSend view.
-  [[nodiscard]] ScheduleSend operator[](std::size_t i) const {
-    return {src_[i], dst_[i], count_[i], dummy(i)};
-  }
-  [[nodiscard]] bool dummy(std::size_t i) const {
-    return ((dummy_words_[i >> 6] >> (i & 63)) & 1) != 0;
-  }
-
-  // Raw columns, for O(E) scans.
-  [[nodiscard]] const std::vector<std::uint64_t>& src() const noexcept {
-    return src_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& dst() const noexcept {
-    return dst_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& count() const noexcept {
-    return count_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& dummy_words() const noexcept {
-    return dummy_words_;
-  }
-
-  friend bool operator==(const ScheduleStep&, const ScheduleStep&) = default;
-
- private:
-  std::vector<std::uint64_t> src_;
-  std::vector<std::uint64_t> dst_;
-  std::vector<std::uint64_t> count_;
-  std::vector<std::uint64_t> dummy_words_;
-};
-
-/// A replayable communication pattern: the Program IR made first-class.
-/// Recorded by RecordBackend; consumed by conformance oracles and by
-/// replay_trace, which re-derives the full per-fold degree trace from the
-/// events alone — no program, no payloads, no machine.
-struct Schedule {
-  unsigned log_v = 0;
-  std::vector<ScheduleStep> steps;
-
-  [[nodiscard]] std::uint64_t v() const noexcept {
-    return std::uint64_t{1} << log_v;
-  }
-  /// Total recorded events (not messages: a dummy burst is one event).
-  [[nodiscard]] std::size_t total_sends() const noexcept;
-  /// Re-derive the trace by feeding every event through a fresh
-  /// DegreeAccumulator per superstep — the replay half of record/replay.
-  [[nodiscard]] Trace replay_trace() const;
-  /// FNV-1a over log_v and every block's label and columns: the
-  /// content address under which the analytic memo cache stores replayed
-  /// traces (two schedules with identical patterns share one entry).
-  [[nodiscard]] std::uint64_t content_hash() const noexcept;
-};
-
 /// The payload-free counting backend. Bodies run inline, in VP index order
 /// (the reference semantics); send/send_dummy collapse to O(1) degree
 /// bucketing. trace() is bit-identical to the simulator's by construction:
 /// both feed the same (src, dst, count) stream into the same accumulator.
-class CostBackend {
+class CostBackend : public SuperstepDriver<CostBackend> {
  public:
   static constexpr bool delivers = false;
 
@@ -266,7 +164,7 @@ class CostBackend {
     /// never construct message storage.
     template <typename Payload>
     void send(std::uint64_t dst, Payload&&) {
-      if (dst >= v_ || ((id_ ^ dst) >> breach_shift_) != 0) [[unlikely]] {
+      if (dst >= v_ || leaves_cluster(id_, dst, breach_shift_)) [[unlikely]] {
         backend_->fail_send(id_, dst);
       }
       if (dst != id_) {
@@ -280,7 +178,7 @@ class CostBackend {
     }
     void send_dummy(std::uint64_t dst, std::uint64_t count = 1) {
       if (count == 0) return;
-      if (dst >= v_ || ((id_ ^ dst) >> breach_shift_) != 0) [[unlikely]] {
+      if (dst >= v_ || leaves_cluster(id_, dst, breach_shift_)) [[unlikely]] {
         backend_->fail_send(id_, dst);
       }
       if (dst != id_) {
@@ -303,12 +201,16 @@ class CostBackend {
           recv_data_(backend->acc_.recv_data()),
           split_data_(backend->acc_.split_data()),
           id_(id),
-          v_(backend->v_),
+          v_(backend->v()),
           ranged_(backend->acc_.ranged()),
-          log_v_(backend->log_v_),
-          breach_shift_(backend->breach_shift_) {}
+          log_v_(backend->log_v()),
+          breach_shift_(backend->breach_shift()) {}
 
-    void bucket(std::uint64_t dst, std::uint64_t count) {
+    // bucket() and commit() are forced inline so the handle stays in
+    // registers: left to the inliner they go out of line in some kernels'
+    // drivers, and the stencil kernels' many small supersteps then run
+    // about 1.5x slower on this path.
+    [[gnu::always_inline]] void bucket(std::uint64_t dst, std::uint64_t count) {
       // The receive and split halves of DegreeAccumulator::count(), through
       // raw node pointers cached at construction (contract on
       // DegreeAccumulator::active_data()). Range mode needs no touch flags.
@@ -324,7 +226,9 @@ class CostBackend {
 
     /// Flush the batched send half; the driver calls this exactly once,
     /// after the body returns.
-    void commit() { acc_->flush_sent(id_, cross_, local_); }
+    [[gnu::always_inline]] void commit() {
+      acc_->flush_sent(id_, cross_, local_);
+    }
 
     CostBackend* backend_;
     DegreeAccumulator* acc_;
@@ -343,10 +247,8 @@ class CostBackend {
 
   /// Create a counting backend for M(v). v must be a power of two.
   explicit CostBackend(std::uint64_t v)
-      : log_v_(log2_exact(v)), v_(v), acc_(log_v_), trace_(log_v_) {}
+      : SuperstepDriver(v), acc_(log_v()), trace_(log_v()) {}
 
-  [[nodiscard]] std::uint64_t v() const noexcept { return v_; }
-  [[nodiscard]] unsigned log_v() const noexcept { return log_v_; }
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
 
   /// Stream mode: route every finalized superstep record into `writer`
@@ -359,126 +261,57 @@ class CostBackend {
   /// the backend's.
   void stream_to(TraceWriter* writer);
 
-  template <typename Body>
-  void superstep(unsigned label, Body&& body) {
-    superstep_range(label, 0, v_, std::forward<Body>(body));
-  }
-
-  /// Runs the body for VPs [first, last); requires first <= last <= v
-  /// (std::invalid_argument otherwise). Closes with a contiguous sweep when
-  /// the range allows it (bsp/trace.hpp).
-  template <typename Body>
-  void superstep_range(unsigned label, std::uint64_t first, std::uint64_t last,
-                       Body&& body) {
-    if (first > last || last > v_) {
-      throw std::invalid_argument(
-          "CostBackend: superstep range needs first <= last <= v");
-    }
-    begin_superstep(label);
-    acc_.open_range(label, first, last);
-    if (capture_ == nullptr) {
-      for (std::uint64_t r = first; r < last; ++r) {
-        VpRefT<false> vp(this, r);
-        body(vp);
-        vp.commit();
-      }
-    } else {
-      for (std::uint64_t r = first; r < last; ++r) {
-        VpRefT<true> vp(this, r);
-        body(vp);
-        vp.commit();
-      }
-    }
-    end_superstep();
-  }
-
-  template <typename Body>
-  void superstep_sparse(unsigned label, std::span<const std::uint64_t> active,
-                        Body&& body) {
-    begin_superstep(label);
-    std::uint64_t previous = 0;
-    bool first = true;
-    for (const std::uint64_t r : active) {
-      if (r >= v_ || (!first && r <= previous)) {
-        in_superstep_ = false;
-        throw std::invalid_argument(
-            "CostBackend: sparse active set must be strictly increasing VP "
-            "ids");
-      }
-      previous = r;
-      first = false;
-    }
-    if (capture_ == nullptr) {
-      for (const std::uint64_t r : active) {
-        VpRefT<false> vp(this, r);
-        body(vp);
-        vp.commit();
-      }
-    } else {
-      for (const std::uint64_t r : active) {
-        VpRefT<true> vp(this, r);
-        body(vp);
-        vp.commit();
-      }
-    }
-    end_superstep();
-  }
-
  protected:
   /// Derived backends route a non-null `capture` to record every event.
   void set_capture(Schedule* capture) noexcept { capture_ = capture; }
 
  private:
-  void begin_superstep(unsigned label) {
-    if (label >= trace_.label_bound()) {
-      throw std::invalid_argument("CostBackend: superstep label out of range");
+  friend class SuperstepDriver<CostBackend>;
+  static constexpr const char* kName = "CostBackend";
+
+  /// A range superstep closes with a contiguous sweep when the range allows
+  /// it (bsp/trace.hpp).
+  template <typename Active>
+  void open_superstep(Active active) {
+    record_.label = label();
+    record_.degree.assign(log_v() + 1, 0);
+    if (capture_ != nullptr) capture_->steps.emplace_back(label());
+    if constexpr (std::is_same_v<Active, VpRange>) {
+      acc_.open_range(label(), active.first, active.last);
     }
-    if (in_superstep_) {
-      throw std::logic_error("CostBackend: nested superstep");
-    }
-    in_superstep_ = true;
-    label_ = label;
-    // A message breaches the sender's label_-cluster iff src and dst differ
-    // in any of the top label_ bits: (src ^ dst) >> breach_shift_ != 0.
-    // Precomputing the shift keeps the per-send check to xor + shift.
-    breach_shift_ = log_v_ - label;
-    record_.label = label;
-    record_.degree.assign(log_v_ + 1, 0);
-    if (capture_ != nullptr) capture_->steps.emplace_back(label);
   }
 
-  void end_superstep() {
+  template <typename Active, typename Body>
+  void run_bodies(Active active, Body& body) {
+    if (capture_ == nullptr) {
+      run_vps<false>(active, body);
+    } else {
+      run_vps<true>(active, body);
+    }
+  }
+
+  template <bool kCapture, typename Active, typename Body>
+  void run_vps(Active active, Body& body) {
+    for (std::uint64_t pos = 0; pos < active.size(); ++pos) {
+      VpRefT<kCapture> vp(this, active[pos]);
+      body(vp);
+      vp.commit();
+    }
+  }
+
+  void close_superstep() {
     acc_.finalize_into(record_);
     emit_record();
-    in_superstep_ = false;
   }
 
   /// Out of line (backend.cpp): append record_ to the streaming writer when
   /// one is attached, to the in-memory trace otherwise.
   void emit_record();
 
-  /// Cold path of VpRef's send check: decide which invariant broke. The
-  /// fast path pre-verified `dst >= v_ || cluster breach`, so exactly one
-  /// of the two throws fires.
-  [[noreturn]] void fail_send(std::uint64_t src, std::uint64_t dst) const {
-    if (dst >= v_) {
-      throw std::out_of_range("CostBackend: destination VP out of range");
-    }
-    throw ClusterViolation(
-        "CostBackend: message leaves the sender's " + std::to_string(label_) +
-        "-cluster (src=" + std::to_string(src) +
-        ", dst=" + std::to_string(dst) + ")");
-  }
-
-  unsigned log_v_;
-  std::uint64_t v_;
   DegreeAccumulator acc_;
   Trace trace_;
   Schedule* capture_ = nullptr;
   TraceWriter* stream_ = nullptr;
-  bool in_superstep_ = false;
-  unsigned label_ = 0;
-  unsigned breach_shift_ = 0;  ///< log_v - label of the open superstep
   SuperstepRecord record_;
 };
 
@@ -524,29 +357,12 @@ template <typename Payload, typename ProgramFn>
       throw std::invalid_argument(
           "run_for_trace: the analytic backend is dispatched by the "
           "algorithm registry (core/analytic.hpp), not by run_for_trace");
-    case BackendKind::kDistributed: {
+    case BackendKind::kDistributed:
       // Type-erase the program: the shard backend is one concrete class,
       // so the fork/merge machinery lives out of line in dist/backend.cpp.
-      std::vector<dist::MergedStep> merged;
-      Trace trace = dist::run_distributed(
-          v, options.dist, options.measure,
-          options.capture != nullptr ? &merged : nullptr,
+      return dist::run_distributed(
+          v, options.dist, options.measure, options.capture,
           [&program](dist::DistributedBackend& backend) { program(backend); });
-      if (options.capture != nullptr) {
-        Schedule schedule;
-        schedule.log_v = log2_exact(v);
-        for (const dist::MergedStep& step : merged) {
-          ScheduleStep block(step.label);
-          for (std::size_t i = 0; i < step.src.size(); ++i) {
-            block.push(step.src[i], step.dst[i], step.count[i],
-                       ((step.dummy_words[i >> 6] >> (i & 63)) & 1) != 0);
-          }
-          schedule.steps.push_back(std::move(block));
-        }
-        *options.capture = std::move(schedule);
-      }
-      return trace;
-    }
     case BackendKind::kSimulate:
     default: {
       SimulateBackend<Payload> backend(v, options.policy);

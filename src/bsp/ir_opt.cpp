@@ -145,14 +145,13 @@ StepPattern classify_step(const ScheduleStep& step, unsigned log_v) {
 
 OptimizedSchedule optimize_schedule(const Schedule& schedule) {
   const unsigned log_v = schedule.log_v;
-  const unsigned label_bound = log_v < 1 ? 1u : log_v;
   OptimizedSchedule optimized;
   optimized.log_v = log_v;
   optimized.source_events = schedule.total_sends();
   optimized.steps.reserve(schedule.steps.size());
   for (std::size_t s = 0; s < schedule.steps.size(); ++s) {
     const ScheduleStep& step = schedule.steps[s];
-    if (step.label >= label_bound) {
+    if (step.label >= label_bound(log_v)) {
       throw std::invalid_argument(
           "optimize_schedule: superstep label out of range");
     }

@@ -1,5 +1,5 @@
 // Program-IR optimizer: pattern classification and superstep fusion over
-// recorded Schedules (bsp/backend.hpp).
+// recorded Schedules (bsp/schedule.hpp).
 //
 // A Schedule is the Program IR made first-class: per superstep, the (src,
 // dst, count, dummy) events in execution order. Replaying it through a
@@ -38,7 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "bsp/backend.hpp"
+#include "bsp/schedule.hpp"
 #include "bsp/trace.hpp"
 
 namespace nobl {

@@ -14,7 +14,8 @@
 //     staged flat, in send order; the sync lays the next inboxes out in one
 //     flat mail array, two-pass — count per destination, then place — so
 //     it costs the traffic, not v,
-//   * enforces the cluster-containment rule (ClusterViolation on breach),
+//   * enforces the superstep rules of bsp/superstep.hpp, cluster
+//     containment among them (ClusterViolation on breach),
 //   * records the exact degree of the superstep at every folding 2^j
 //     (see bsp/trace.hpp), including "dummy" messages — the paper's device
 //     for making algorithms (Θ(1), p)-wise without touching their state.
@@ -58,21 +59,17 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "bsp/execution.hpp"
+#include "bsp/superstep.hpp"
 #include "bsp/trace.hpp"
 #include "util/bits.hpp"
 #include "util/worker_pool.hpp"
 
 namespace nobl {
-
-/// Thrown when an i-superstep sends a message outside the sender's i-cluster.
-class ClusterViolation : public std::logic_error {
- public:
-  using std::logic_error::logic_error;
-};
 
 /// A delivered message: sender index plus payload.
 template <typename Payload>
@@ -125,7 +122,7 @@ class Vp {
 };
 
 template <typename Payload>
-class Machine {
+class Machine : public SuperstepDriver<Machine<Payload>> {
  public:
   using MessageT = Message<Payload>;
 
@@ -137,90 +134,40 @@ class Machine {
   /// Create an M(v). v must be a power of two (Section 2's assumption).
   explicit Machine(std::uint64_t v,
                    ExecutionPolicy policy = ExecutionPolicy::sequential())
-      : log_v_(log2_exact(v)), v_(v), policy_(policy), trace_(log_v_) {
-    if (log_v_ > 32) {
+      : SuperstepDriver<Machine>(v), policy_(policy), trace_(this->log_v()) {
+    if (this->log_v() > 32) {
       throw std::invalid_argument("Machine: v above 2^32");
     }
     if (policy_.mode == ExecutionPolicy::Mode::kParallel &&
         policy_.num_threads == 0) {
       throw std::invalid_argument("Machine: parallel policy needs >= 1 thread");
     }
-    box_.resize(v_);
+    box_.resize(v);
     if (policy_.is_parallel()) {
       pool_ = std::make_unique<WorkerPool>(policy_.num_threads);
     }
     const unsigned lanes = pool_ ? pool_->size() : 1;
     lanes_.reserve(lanes);
-    for (unsigned w = 0; w < lanes; ++w) lanes_.emplace_back(log_v_);
+    for (unsigned w = 0; w < lanes; ++w) lanes_.emplace_back(this->log_v());
   }
 
-  [[nodiscard]] std::uint64_t v() const noexcept { return v_; }
-  [[nodiscard]] unsigned log_v() const noexcept { return log_v_; }
   [[nodiscard]] const ExecutionPolicy& policy() const noexcept {
     return policy_;
   }
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
 
-  /// Execute one i-superstep: `body(vp)` runs for every VP, then the closing
-  /// sync(i) delivers all messages sent during the body.
-  template <typename Body>
-  void superstep(unsigned label, Body&& body) {
-    superstep_range(label, 0, v_, std::forward<Body>(body));
-  }
-
-  /// Same as superstep(), but runs the body only for VPs in [first, last),
-  /// which requires first <= last <= v (std::invalid_argument otherwise).
-  /// Idle VPs still take part in the barrier; this is purely a simulator
-  /// fast-path for supersteps whose active set is known to be a range.
-  /// Under the sequential engine the sync closes the degree accumulator
-  /// with a contiguous sweep when the range allows it (bsp/trace.hpp).
-  template <typename Body>
-  void superstep_range(unsigned label, std::uint64_t first, std::uint64_t last,
-                       Body&& body) {
-    if (first > last || last > v_) {
-      throw std::invalid_argument(
-          "Machine: superstep range needs first <= last <= v");
-    }
-    begin_superstep(label);
-    // The parallel engine's lanes are folded with absorb(), which needs
-    // touch mode.
-    if (!pool_) lanes_[0].acc.open_range(label, first, last);
-    run_bodies(
-        last - first, [first](std::uint64_t pos) { return first + pos; },
-        std::forward<Body>(body));
-    end_superstep();
-  }
-
-  /// Same as superstep(), but runs the body only for the listed VPs (which
-  /// must be strictly increasing, for deterministic delivery order). Used by
-  /// schedules whose active set per superstep is sparse, e.g. the stencil
-  /// diamond phases where most submachines hold dummy diamonds.
-  template <typename Body>
-  void superstep_sparse(unsigned label, std::span<const std::uint64_t> active,
-                        Body&& body) {
-    begin_superstep(label);
-    std::uint64_t previous = 0;
-    bool first = true;
-    for (const std::uint64_t r : active) {
-      if (r >= v_ || (!first && r <= previous)) {
-        in_superstep_ = false;
-        throw std::invalid_argument(
-            "Machine: sparse active set must be strictly increasing VP ids");
-      }
-      previous = r;
-      first = false;
-    }
-    run_bodies(
-        active.size(), [active](std::uint64_t pos) { return active[pos]; },
-        std::forward<Body>(body));
-    end_superstep();
-  }
+  // superstep / superstep_range / superstep_sparse come from
+  // SuperstepDriver (bsp/superstep.hpp): body(vp) runs for every active VP,
+  // then the closing sync(i) delivers all messages sent during the bodies.
+  // Idle VPs still take part in the barrier.
 
   /// Read access to a VP's current inbox between supersteps (used to extract
   /// results after the final sync). The view stays valid until the next
   /// sync. Throws std::out_of_range for vp >= v.
   [[nodiscard]] std::span<const MessageT> inbox(std::uint64_t vp) const {
-    if (vp >= v_) throw std::out_of_range("Machine: inbox VP out of range");
+    if (vp >= this->v()) {
+      throw std::out_of_range("Machine: inbox VP out of range");
+    }
     return inbox_of(vp);
   }
 
@@ -235,6 +182,8 @@ class Machine {
 
  private:
   friend class Vp<Payload>;
+  friend class SuperstepDriver<Machine>;
+  static constexpr const char* kName = "Machine";
 
   /// A send staged during the running superstep. VP ids fit 32 bits (the
   /// constructor caps v), which keeps a staged send as small as a delivered
@@ -270,40 +219,39 @@ class Machine {
     return {mail_.data() + box.begin, box.count};
   }
 
-  void begin_superstep(unsigned label) {
-    if (label >= trace_.label_bound()) {
-      throw std::invalid_argument("Machine: superstep label out of range");
-    }
-    if (in_superstep_) {
-      throw std::logic_error("Machine: nested superstep");
-    }
-    in_superstep_ = true;
-    label_ = label;
-    // A message breaches the sender's label-cluster iff src and dst differ
-    // in any of the top `label` bits (CostBackend's rule).
-    breach_shift_ = log_v_ - label;
-    record_.label = label;
-    record_.degree.assign(log_v_ + 1, 0);
+  /// Under the sequential engine a range superstep closes with a
+  /// contiguous sweep when the range allows it (bsp/trace.hpp); the
+  /// parallel engine's lanes are folded with absorb(), which needs touch
+  /// mode.
+  template <typename Active>
+  void open_superstep(Active active) {
+    record_.label = this->label();
+    record_.degree.assign(this->log_v() + 1, 0);
     // The staging buffers are released at every sync, so that they hold no
     // memory between supersteps. Supersteps of one phase send alike: sizing
     // them from the previous superstep spares push_back's doubling.
     for (Lane& lane : lanes_) lane.staged.reserve(lane.last_staged);
+    if constexpr (std::is_same_v<Active, VpRange>) {
+      if (!pool_) {
+        lanes_[0].acc.open_range(this->label(), active.first, active.last);
+      }
+    }
   }
 
-  /// Drive body(vp) over the `count` active VPs, where id_of(pos) maps the
-  /// position in the active set to a VP index. Sequential engine (or tiny
-  /// active sets): inline, in order. Parallel engine: contiguous chunks of
+  /// Drive body(vp) over the active VPs. Sequential engine (or tiny active
+  /// sets): inline, in order. Parallel engine: contiguous chunks of
   /// the active set per worker, each worker charging its own lane; the
   /// lowest-VP exception wins, matching what sequential execution would
   /// have thrown first. On a throw the other workers stop at their next VP
   /// boundary — a throwing superstep leaves the machine unusable either
   /// way, but bodies already in flight may have touched host state the
   /// sequential engine would not have reached.
-  template <typename IdOf, typename Body>
-  void run_bodies(std::uint64_t count, IdOf&& id_of, Body&& body) {
+  template <typename Active, typename Body>
+  void run_bodies(Active active, Body& body) {
+    const std::uint64_t count = active.size();
     if (!pool_ || count < 2) {
       for (std::uint64_t pos = 0; pos < count; ++pos) {
-        Vp<Payload> vp(this, id_of(pos), 0);
+        Vp<Payload> vp(this, active[pos], 0);
         body(vp);
       }
       return;
@@ -321,7 +269,7 @@ class Machine {
       for (std::uint64_t pos = lo; pos < hi; ++pos) {
         if (aborted.load(std::memory_order_relaxed)) return;
         try {
-          Vp<Payload> vp(this, id_of(pos), w);
+          Vp<Payload> vp(this, active[pos], w);
           body(vp);
         } catch (...) {
           error_pos[w] = pos;
@@ -341,7 +289,7 @@ class Machine {
     if (first != workers) std::rethrow_exception(error[first]);
   }
 
-  void end_superstep() {
+  void close_superstep() {
     // Fold the worker lanes' degree counters into lane 0 (commutative sums,
     // so the result is independent of how VPs were scheduled), then turn
     // them into this superstep's degree vector.
@@ -391,30 +339,14 @@ class Machine {
       lane.last_staged = lane.staged.size();
       std::vector<Staged>().swap(lane.staged);
     }
-    in_superstep_ = false;
-  }
-
-  void check_send(std::uint64_t src, std::uint64_t dst) const {
-    if (dst >= v_ || ((src ^ dst) >> breach_shift_) != 0) [[unlikely]] {
-      fail_send(src, dst);
-    }
-  }
-
-  /// Cold path of check_send: exactly one of the two throws fires.
-  [[noreturn]] void fail_send(std::uint64_t src, std::uint64_t dst) const {
-    if (dst >= v_) {
-      throw std::out_of_range("Machine: destination VP out of range");
-    }
-    throw ClusterViolation(
-        "Machine: message leaves the sender's " + std::to_string(label_) +
-        "-cluster (src=" + std::to_string(src) +
-        ", dst=" + std::to_string(dst) + ")");
   }
 
   void enqueue(std::uint64_t src, unsigned lane, std::uint64_t dst,
                Payload data) {
-    if (!in_superstep_) throw std::logic_error("Machine: send outside superstep");
-    check_send(src, dst);
+    if (!this->in_superstep()) {
+      throw std::logic_error("Machine: send outside superstep");
+    }
+    this->check_send(src, dst);
     Lane& l = lanes_[lane];
     l.acc.count(src, dst, 1);
     l.staged.push_back(Staged{static_cast<std::uint32_t>(src),
@@ -424,14 +356,14 @@ class Machine {
 
   void enqueue_dummy(std::uint64_t src, unsigned lane, std::uint64_t dst,
                      std::uint64_t count) {
-    if (!in_superstep_) throw std::logic_error("Machine: send outside superstep");
+    if (!this->in_superstep()) {
+      throw std::logic_error("Machine: send outside superstep");
+    }
     if (count == 0) return;
-    check_send(src, dst);
+    this->check_send(src, dst);
     lanes_[lane].acc.count(src, dst, count);
   }
 
-  unsigned log_v_;
-  std::uint64_t v_;
   ExecutionPolicy policy_;
   Trace trace_;
   std::uint64_t peak_inbox_ = 0;
@@ -445,10 +377,6 @@ class Machine {
 
   std::unique_ptr<WorkerPool> pool_;  ///< null under the sequential engine
   std::vector<Lane> lanes_;  ///< one per worker (1 if sequential)
-
-  bool in_superstep_ = false;
-  unsigned label_ = 0;
-  unsigned breach_shift_ = 0;  ///< log_v - label of the open superstep
   SuperstepRecord record_;
 };
 

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bsp/superstep.hpp"
 #include "util/bits.hpp"
 
 namespace nobl {
@@ -241,7 +242,7 @@ class Trace {
   /// Number of representable superstep labels: valid labels are
   /// 0 .. label_bound() - 1 (M(1) still has label 0 for local steps).
   [[nodiscard]] unsigned label_bound() const noexcept {
-    return log_v_ < 1 ? 1 : log_v_;
+    return nobl::label_bound(log_v_);
   }
 
   void append(SuperstepRecord record);

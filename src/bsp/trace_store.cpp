@@ -184,7 +184,6 @@ void walk_blocks(const unsigned char* data, std::size_t size, unsigned log_v,
                  const std::function<void(const SuperstepRecord&)>& fn,
                  std::size_t* live_peak) {
   Cursor cursor{data, size, kHeaderBytes};
-  const unsigned label_bound = log_v < 1 ? 1u : log_v;
   SuperstepRecord record;
   record.degree.assign(log_v + 1u, 0);
   std::vector<std::uint64_t> prev(log_v + 1u, 0);
@@ -196,7 +195,7 @@ void walk_blocks(const unsigned char* data, std::size_t size, unsigned log_v,
     if (data[cursor.pos] == kFooterSentinel) break;
     const std::size_t block_start = cursor.pos;
     const std::uint64_t label = cursor.varint("block label");
-    if (label >= label_bound) {
+    if (label >= label_bound(log_v)) {
       cursor.pos = block_start;
       cursor.fail("superstep label " + std::to_string(label) +
                   " out of range in block");

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include <signal.h>
@@ -164,38 +166,21 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-void DistributedBackend::begin_superstep(unsigned label) {
-  const unsigned label_bound = log_v_ < 1 ? 1 : log_v_;
-  if (label >= label_bound) {
-    throw std::invalid_argument(
-        "DistributedBackend: superstep label out of range");
-  }
-  if (in_superstep_) {
-    throw std::logic_error("DistributedBackend: nested superstep");
-  }
-  in_superstep_ = true;
-  label_ = label;
-  breach_shift_ = log_v_ - label;
-  block_.clear();
-  block_.label = label;
-}
-
-void DistributedBackend::end_superstep() {
-  const std::size_t nevents = block_.src.size();
-  const std::size_t words = 3 * nevents + block_.dummy_words.size();
-  std::uint8_t* out = start_frame(frame_, kFrameBlock, label_, nevents,
+void DistributedBackend::close_superstep() {
+  const std::size_t nevents = block_.size();
+  const std::size_t words = 3 * nevents + block_.dummy_words().size();
+  std::uint8_t* out = start_frame(frame_, kFrameBlock, label(), nevents,
                                   words * sizeof(std::uint64_t));
-  out = put_column(out, block_.src);
-  out = put_column(out, block_.dst);
-  out = put_column(out, block_.count);
-  put_column(out, block_.dummy_words);
+  out = put_column(out, block_.src());
+  out = put_column(out, block_.dst());
+  out = put_column(out, block_.count());
+  put_column(out, block_.dummy_words());
   char ack = 0;
   if (!channel_->send(frame_.data(), frame_.size()) ||
       !channel_->recv(&ack, 1) || ack != kFrameAck) {
     throw std::runtime_error(
         "DistributedBackend: coordinator went away mid-superstep");
   }
-  in_superstep_ = false;
 }
 
 void DistributedBackend::finish() {
@@ -207,7 +192,7 @@ void DistributedBackend::finish() {
 }
 
 Trace run_distributed(std::uint64_t v, const DistConfig& config,
-                      Measurement* measure, std::vector<MergedStep>* capture,
+                      Measurement* measure, Schedule* capture,
                       const std::function<void(DistributedBackend&)>& program) {
   const unsigned log_v = log2_exact(v);
   std::uint64_t workers = config.workers == 0 ? 4 : config.workers;
@@ -233,7 +218,9 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
   std::vector<double> superstep_ms;
   std::uint8_t header[kHeaderBytes] = {};
   std::vector<std::uint8_t> body;  // reused by every block frame
-  MergedStep merged;
+  Schedule captured;
+  captured.log_v = log_v;
+  ScheduleStep merged;
 
   bool done = false;
   while (!done) {
@@ -242,7 +229,7 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
     // whole run, a fresh record per superstep, count() per event.
     SuperstepRecord record;
     record.degree.assign(log_v + 1u, 0);
-    if (capture != nullptr) merged = MergedStep{};
+    if (capture != nullptr) merged = ScheduleStep{};
     for (unsigned w = 0; w < workers; ++w) {
       Channel& channel = *links[w].channel;
       if (!channel.recv(header, kHeaderBytes)) worker_gone(w);
@@ -311,7 +298,7 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
     acc.finalize_into(record);
     writer.append(record);
     superstep_ms.push_back(ms_since(step_start));
-    if (capture != nullptr) capture->push_back(std::move(merged));
+    if (capture != nullptr) captured.steps.push_back(std::move(merged));
 
     // Barrier: release every worker into the next superstep.
     for (unsigned w = 0; w < workers; ++w) {
@@ -322,6 +309,7 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
 
   reaper.reap();
   writer.finish();
+  if (capture != nullptr) *capture = std::move(captured);
   if (measure != nullptr) {
     measure->superstep_ms = std::move(superstep_ms);
     measure->total_ms = ms_since(run_start);

@@ -1,12 +1,17 @@
-// The Backend API (bsp/backend.hpp): the counting and recording backends
-// must enforce the simulator's validation rules (labels, nesting, cluster
-// containment, sparse active sets), produce bit-identical traces on the
-// same program, and the record/replay pair must round-trip exactly.
+// The Backend API (bsp/backend.hpp): every backend must enforce the same
+// superstep rules (labels, nesting, ranges, sparse active sets, destination
+// range, cluster containment) with the same exceptions, the counting and
+// recording backends must produce bit-identical traces on the same program,
+// and the record/replay pair must round-trip exactly.
 #include "bsp/backend.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "../algorithms/degree_check.hpp"
@@ -63,86 +68,182 @@ TEST(CostBackend, TraceMatchesSimulatorOnMixedProgram) {
   }
 }
 
-TEST(CostBackend, EnforcesSimulatorValidationRules) {
-  CostBackend bk(8);
-  // Label out of range (label_bound == log v == 3).
-  EXPECT_THROW(bk.superstep(3, [](auto&) {}), std::invalid_argument);
-  // Cluster containment: a 1-superstep must stay inside the 1-cluster.
-  EXPECT_THROW(bk.superstep(1,
-                            [](auto& vp) {
-                              if (vp.id() == 0) vp.send(4, 1);
-                            }),
-               ClusterViolation);
-  // Destination range.
-  CostBackend bk2(8);
-  EXPECT_THROW(bk2.superstep(0,
-                             [](auto& vp) {
-                               if (vp.id() == 0) vp.send(8, 1);
-                             }),
-               std::out_of_range);
-  // Sparse active sets must be strictly increasing.
-  CostBackend bk3(8);
-  const std::vector<std::uint64_t> bad{2, 1};
-  EXPECT_THROW(bk3.superstep_sparse(0, bad, [](auto&) {}),
-               std::invalid_argument);
-  // Nested supersteps are a logic error.
-  CostBackend bk4(8);
-  EXPECT_THROW(
-      bk4.superstep(0, [&](auto&) { bk4.superstep(0, [](auto&) {}); }),
-      std::logic_error);
+/// The superstep rules of M(v) (Section 2), each a program that one
+/// backend at a time interprets.
+enum class Rule {
+  kLabelAtBound,
+  kLabelAtBoundOnM1,
+  kLabelZeroOnM1,
+  kNested,
+  kRangePastV,
+  kRangeReversed,
+  kRangeEdges,
+  kSparseUnsorted,
+  kSparseDuplicate,
+  kSparsePastV,
+  kSendPastV,
+  kDummyPastV,
+  kSendBreach,
+  kDummyBreach,
+  kZeroDummyPastV,
+};
+
+template <typename Backend>
+void drive(Rule rule, Backend& bk) {
+  const auto idle = [](auto&) {};
+  switch (rule) {
+    case Rule::kLabelAtBound:
+    case Rule::kLabelAtBoundOnM1:
+      bk.superstep(bk.log_v() < 1 ? 1 : bk.log_v(), idle);
+      break;
+    case Rule::kLabelZeroOnM1:
+      bk.superstep(0, [](auto& vp) { vp.send(vp.id(), 1); });
+      break;
+    case Rule::kNested:
+      bk.superstep(0, [&bk, idle](auto&) { bk.superstep(0, idle); });
+      break;
+    case Rule::kRangePastV:
+      bk.superstep_range(0, 2, 8, [](auto& vp) { vp.send(vp.id() ^ 1, 1); });
+      break;
+    case Rule::kRangeReversed:
+      bk.superstep_range(0, 3, 2, idle);
+      break;
+    case Rule::kRangeEdges:
+      bk.superstep_range(0, 4, 4, idle);
+      bk.superstep_range(0, 0, 4, [](auto& vp) { vp.send(vp.id() ^ 1, 1); });
+      break;
+    case Rule::kSparseUnsorted:
+      bk.superstep_sparse(0, std::vector<std::uint64_t>{2, 1}, idle);
+      break;
+    case Rule::kSparseDuplicate:
+      bk.superstep_sparse(0, std::vector<std::uint64_t>{1, 1}, idle);
+      break;
+    case Rule::kSparsePastV:
+      bk.superstep_sparse(0, std::vector<std::uint64_t>{0, 4}, idle);
+      break;
+    case Rule::kSendPastV:
+      bk.superstep(0, [](auto& vp) {
+        if (vp.id() == 0) vp.send(4, 1);
+      });
+      break;
+    case Rule::kDummyPastV:
+      bk.superstep(0, [](auto& vp) {
+        if (vp.id() == 0) vp.send_dummy(4, 1);
+      });
+      break;
+    case Rule::kSendBreach:
+      bk.superstep(1, [](auto& vp) {
+        if (vp.id() == 0) vp.send(2, 1);
+      });
+      break;
+    case Rule::kDummyBreach:
+      bk.superstep(1, [](auto& vp) {
+        if (vp.id() == 0) vp.send_dummy(2, 3);
+      });
+      break;
+    case Rule::kZeroDummyPastV:
+      bk.superstep(1, [](auto& vp) { vp.send_dummy(99, 0); });
+      break;
+  }
 }
 
-// superstep_range requires first <= last <= v on every backend, each
-// throwing std::invalid_argument before any body runs. A range past v once
-// overran the simulator's degree counters.
-TEST(Backends, SuperstepRangeBoundsAreCheckedEverywhere) {
-  const auto past_v = [](auto& bk) {
-    bk.superstep_range(0, 2, 8, [](auto& vp) { vp.send(vp.id() ^ 1, 1); });
+// One rule x backend table: every backend enforces every superstep rule
+// with the same exception type and message, behind its own prefix, before
+// any illegal message is counted. A range past v once overran the
+// simulator's degree counters.
+TEST(Backends, EverySuperstepRuleHoldsOnEveryBackend) {
+  struct RuleCase {
+    const char* name;
+    Rule rule;
+    std::uint64_t v;
+    const std::type_info* type;  ///< null: the program must run cleanly
+    const char* message;         ///< what() after "<prefix>: "
   };
-  const auto reversed = [](auto& bk) {
-    bk.superstep_range(0, 3, 2, [](auto&) {});
+  const std::type_info* invalid = &typeid(std::invalid_argument);
+  const std::type_info* range = &typeid(std::out_of_range);
+  const std::type_info* logic = &typeid(std::logic_error);
+  const std::type_info* breach = &typeid(ClusterViolation);
+  const char* label_msg = "superstep label out of range";
+  const char* range_msg = "superstep range needs first <= last <= v";
+  const char* sparse_msg =
+      "sparse active set must be strictly increasing VP ids";
+  const char* dst_msg = "destination VP out of range";
+  const char* breach_msg =
+      "message leaves the sender's 1-cluster (src=0, dst=2)";
+  const std::vector<RuleCase> rules{
+      {"label == label_bound", Rule::kLabelAtBound, 4, invalid, label_msg},
+      {"M(1) label 1", Rule::kLabelAtBoundOnM1, 1, invalid, label_msg},
+      {"M(1) label 0", Rule::kLabelZeroOnM1, 1, nullptr, ""},
+      {"nested superstep", Rule::kNested, 4, logic, "nested superstep"},
+      {"range past v", Rule::kRangePastV, 4, invalid, range_msg},
+      {"reversed range", Rule::kRangeReversed, 4, invalid, range_msg},
+      {"empty and full ranges", Rule::kRangeEdges, 4, nullptr, ""},
+      {"sparse unsorted", Rule::kSparseUnsorted, 4, invalid, sparse_msg},
+      {"sparse duplicate", Rule::kSparseDuplicate, 4, invalid, sparse_msg},
+      {"sparse id >= v", Rule::kSparsePastV, 4, invalid, sparse_msg},
+      {"send dst >= v", Rule::kSendPastV, 4, range, dst_msg},
+      {"send_dummy dst >= v", Rule::kDummyPastV, 4, range, dst_msg},
+      {"send breach", Rule::kSendBreach, 4, breach, breach_msg},
+      {"send_dummy breach", Rule::kDummyBreach, 4, breach, breach_msg},
+      {"count-0 dummy dst >= v", Rule::kZeroDummyPastV, 4, nullptr, ""},
   };
-  const auto edges = [](auto& bk) {
-    bk.superstep_range(0, 4, 4, [](auto&) {});
-    bk.superstep_range(0, 0, 4, [](auto& vp) { vp.send(vp.id() ^ 1, 1); });
+
+  struct BackendCase {
+    const char* name;
+    const char* prefix;
+    std::function<void(std::uint64_t, Rule)> run;
   };
-  const auto expect_each_backend = [](const auto& program, bool rejects) {
-    const auto check = [rejects](auto&& run) {
-      if (rejects) {
-        EXPECT_THROW(run(), std::invalid_argument);
-      } else {
-        EXPECT_NO_THROW(run());
+  const std::vector<BackendCase> backends{
+      {"Machine seq", "Machine",
+       [](std::uint64_t v, Rule rule) {
+         Machine<int> bk(v);
+         drive(rule, bk);
+       }},
+      {"Machine par:2", "Machine",
+       [](std::uint64_t v, Rule rule) {
+         Machine<int> bk(v, ExecutionPolicy::parallel(2));
+         drive(rule, bk);
+       }},
+      {"Cost", "CostBackend",
+       [](std::uint64_t v, Rule rule) {
+         CostBackend bk(v);
+         drive(rule, bk);
+       }},
+      {"Record", "CostBackend",
+       [](std::uint64_t v, Rule rule) {
+         RecordBackend bk(v);
+         drive(rule, bk);
+       }},
+      {"Audit", "AuditBackend",
+       [](std::uint64_t v, Rule rule) {
+         audit::AuditBackend bk(v);
+         drive(rule, bk);
+       }},
+      {"Distributed over fork", "DistributedBackend",
+       [](std::uint64_t v, Rule rule) {
+         RunOptions options;
+         options.backend = BackendKind::kDistributed;
+         options.dist.transport = dist::Transport::kFork;
+         (void)run_for_trace<int>(
+             v, options, [rule](auto& bk) { drive(rule, bk); });
+       }},
+  };
+
+  for (const RuleCase& rc : rules) {
+    for (const BackendCase& bc : backends) {
+      SCOPED_TRACE(std::string(rc.name) + " under " + bc.name);
+      try {
+        bc.run(rc.v, rc.rule);
+        EXPECT_EQ(rc.type, nullptr) << "accepted an illegal program";
+      } catch (const std::exception& e) {
+        ASSERT_NE(rc.type, nullptr) << "rejected a legal program: "
+                                    << e.what();
+        EXPECT_TRUE(typeid(e) == *rc.type) << "threw " << typeid(e).name();
+        EXPECT_EQ(std::string(e.what()),
+                  std::string(bc.prefix) + ": " + rc.message);
       }
-    };
-    check([&] {
-      Machine<int> bk(4);
-      program(bk);
-    });
-    check([&] {
-      Machine<int> bk(4, ExecutionPolicy::parallel(2));
-      program(bk);
-    });
-    check([&] {
-      CostBackend bk(4);
-      program(bk);
-    });
-    check([&] {
-      RecordBackend bk(4);
-      program(bk);
-    });
-    check([&] {
-      audit::AuditBackend bk(4);
-      program(bk);
-    });
-    check([&] {
-      RunOptions options;
-      options.backend = BackendKind::kDistributed;
-      (void)run_for_trace<int>(4, options, program);
-    });
-  };
-  expect_each_backend(past_v, true);
-  expect_each_backend(reversed, true);
-  expect_each_backend(edges, false);
+    }
+  }
 }
 
 TEST(CostBackend, DummyBurstsAndSelfMessages) {
