@@ -21,7 +21,7 @@ Trace pathological(unsigned log_v, std::uint64_t count) {
   m.superstep(0, [&](Vp<int>& vp) {
     if (vp.id() == 0) vp.send_dummy(1ULL << (log_v - 1), count);
   });
-  return m.trace();
+  return std::move(m).take_trace();
 }
 
 void report() {

@@ -47,7 +47,7 @@ Trace dense_trace(std::uint64_t v, unsigned supersteps,
       for (std::uint64_t dst = 0; dst < v; ++dst) vp.send_dummy(dst, burst);
     });
   }
-  return backend.trace();
+  return std::move(backend).take_trace();
 }
 
 std::string to_csv(const Trace& trace) {

@@ -18,7 +18,7 @@ Trace flat_transpose_trace(std::uint64_t m, const ExecutionPolicy& policy) {
   Machine<long> machine(m * m, policy);
   auto values = benchx::random_matrix(m, m).data();
   transpose(machine, std::span<long>(values), m, m);
-  return machine.trace();
+  return std::move(machine).take_trace();
 }
 
 void report() {

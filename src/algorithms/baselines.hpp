@@ -54,7 +54,7 @@ inline Trace flat_rounds(std::uint64_t p, std::uint64_t rounds,
   }
   CostBackend bk(p);
   flat_rounds_program(bk, rounds, degree);
-  return bk.trace();
+  return std::move(bk).take_trace();
 }
 
 }  // namespace detail

@@ -88,7 +88,7 @@ inline BitonicRun bitonic_sort_oblivious(
   }
   SimulateBackend<std::uint64_t> bk(n, policy);
   std::vector<std::uint64_t> output = bitonic_sort_program(bk, keys);
-  return BitonicRun{std::move(output), bk.trace()};
+  return BitonicRun{std::move(output), std::move(bk).take_trace()};
 }
 
 /// Closed form for the bitonic network's communication complexity:

@@ -93,7 +93,7 @@ inline BroadcastRun run_tree(std::uint64_t v, std::uint64_t kappa,
   }
   SimulateBackend<std::uint64_t> bk(v, policy);
   std::vector<std::uint64_t> values = broadcast_program(bk, kappa, value);
-  return BroadcastRun{std::move(values), bk.trace()};
+  return BroadcastRun{std::move(values), std::move(bk).take_trace()};
 }
 
 }  // namespace broadcast_detail

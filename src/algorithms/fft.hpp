@@ -190,7 +190,7 @@ inline FftRun fft_oblivious(const std::vector<std::complex<double>>& x,
   SimulateBackend<std::complex<double>> bk(n, policy);
   std::vector<std::complex<double>> output =
       fft_program(bk, x, wiseness_dummies);
-  return FftRun{std::move(output), bk.trace()};
+  return FftRun{std::move(output), std::move(bk).take_trace()};
 }
 
 /// Inverse DFT via the conjugation identity ifft(X) = conj(fft(conj(X)))/n —

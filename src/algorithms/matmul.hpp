@@ -424,7 +424,7 @@ MatmulRun<T> matmul_oblivious(const Matrix<T>& a, const Matrix<T>& b,
   SimulateBackend<mm_detail::Msg<T>> bk(m * m, policy);
   mm_detail::ProgramResult<T> result =
       matmul_program(bk, a, b, wiseness_dummies);
-  return MatmulRun<T>{std::move(result.c), bk.trace(),
+  return MatmulRun<T>{std::move(result.c), std::move(bk).take_trace(),
                       result.peak_vp_entries};
 }
 

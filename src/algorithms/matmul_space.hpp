@@ -290,7 +290,7 @@ MatmulSpaceRun<T> matmul_space_oblivious(const Matrix<T>& a,
   }
   SimulateBackend<mms_detail::Msg<T>> bk(m * m, policy);
   Matrix<T> c = matmul_space_program(bk, a, b, wiseness_dummies);
-  return MatmulSpaceRun<T>{std::move(c), bk.trace(),
+  return MatmulSpaceRun<T>{std::move(c), std::move(bk).take_trace(),
                            matmul_space_peak_entries(m * m)};
 }
 

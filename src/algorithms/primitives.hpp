@@ -251,7 +251,7 @@ inline ReduceRun reduce_oblivious(const std::vector<std::uint64_t>& values,
   }
   SimulateBackend<std::uint64_t> bk(values.size(), policy);
   const std::uint64_t total = reduce_program(bk, values);
-  return ReduceRun{total, bk.trace()};
+  return ReduceRun{total, std::move(bk).take_trace()};
 }
 
 /// Gather n = |values| (power of two) values at VP 0 on M(n).
@@ -263,7 +263,7 @@ inline GatherRun gather_oblivious(const std::vector<std::uint64_t>& values,
   }
   SimulateBackend<std::uint64_t> bk(values.size(), policy);
   std::vector<std::uint64_t> output = gather_program(bk, values);
-  return GatherRun{std::move(output), bk.trace()};
+  return GatherRun{std::move(output), std::move(bk).take_trace()};
 }
 
 /// Cyclically shift n = |values| (power of two) values by n/2 on M(n).
@@ -274,7 +274,7 @@ inline ShiftRun shift_oblivious(const std::vector<std::uint64_t>& values,
   }
   SimulateBackend<std::uint64_t> bk(values.size(), policy);
   std::vector<std::uint64_t> output = shift_program(bk, values);
-  return ShiftRun{std::move(output), bk.trace()};
+  return ShiftRun{std::move(output), std::move(bk).take_trace()};
 }
 
 }  // namespace nobl

@@ -256,7 +256,7 @@ inline SampleSortRun samplesort_oblivious(
   }
   SimulateBackend<std::uint64_t> bk(n, policy);
   std::vector<std::uint64_t> output = samplesort_program(bk, keys);
-  return SampleSortRun{std::move(output), bk.trace()};
+  return SampleSortRun{std::move(output), std::move(bk).take_trace()};
 }
 
 }  // namespace nobl

@@ -115,7 +115,7 @@ inline ScanRun scan_oblivious(const std::vector<std::uint64_t>& values,
   }
   SimulateBackend<std::uint64_t> bk(n, policy);
   std::vector<std::uint64_t> output = scan_program(bk, values);
-  return ScanRun{std::move(output), bk.trace()};
+  return ScanRun{std::move(output), std::move(bk).take_trace()};
 }
 
 }  // namespace nobl

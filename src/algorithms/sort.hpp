@@ -162,7 +162,7 @@ inline SortRun sort_oblivious(const std::vector<std::uint64_t>& keys,
   }
   SimulateBackend<std::uint64_t> bk(n, policy);
   std::vector<std::uint64_t> output = sort_program(bk, keys, wiseness_dummies);
-  return SortRun{std::move(output), bk.trace()};
+  return SortRun{std::move(output), std::move(bk).take_trace()};
 }
 
 }  // namespace nobl

@@ -176,7 +176,7 @@ inline Stencil1Run stencil1_oblivious(const std::vector<double>& input,
   SimulateBackend<double> bk(n, policy);
   Matrix<double> grid = stencil1_program(bk, input, f, wiseness_dummies,
                                          k_override);
-  return Stencil1Run{std::move(grid), bk.trace()};
+  return Stencil1Run{std::move(grid), std::move(bk).take_trace()};
 }
 
 /// The natural parameter-unaware baseline: VP x owns grid column x and the
@@ -207,7 +207,7 @@ inline Stencil1Run stencil1_rowwise(const std::vector<double>& input,
       if (vp.id() + 1 < n) vp.send(vp.id() + 1, grid(t, vp.id()));
     });
   }
-  return Stencil1Run{std::move(grid), bk.trace()};
+  return Stencil1Run{std::move(grid), std::move(bk).take_trace()};
 }
 
 /// Sequential reference evaluation.

@@ -166,7 +166,7 @@ inline Stencil2Run stencil2_oblivious_schedule(std::uint64_t n,
   SimulateBackend<std::uint8_t> bk(n * n, policy);
   std::vector<std::uint64_t> radices =
       stencil2_program(bk, n, wiseness_dummies, k_override);
-  return Stencil2Run{bk.trace(), kStencil2Stages, std::move(radices)};
+  return Stencil2Run{std::move(bk).take_trace(), kStencil2Stages, std::move(radices)};
 }
 
 }  // namespace nobl

@@ -103,7 +103,7 @@ TransposeRun<T> transpose_oblivious(const Matrix<T>& a,
   }
   SimulateBackend<T> bk(m * m, policy);
   Matrix<T> out = transpose_program(bk, a);
-  return TransposeRun<T>{std::move(out), bk.trace()};
+  return TransposeRun<T>{std::move(out), std::move(bk).take_trace()};
 }
 
 }  // namespace nobl

@@ -250,6 +250,8 @@ class CostBackend : public SuperstepDriver<CostBackend> {
       : SuperstepDriver(v), acc_(log_v()), trace_(log_v()) {}
 
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
+  /// Hand the recorded trace out by move; the backend is spent afterwards.
+  [[nodiscard]] Trace take_trace() && noexcept { return std::move(trace_); }
 
   /// Stream mode: route every finalized superstep record into `writer`
   /// (bsp/trace_store.hpp) instead of appending to the in-memory trace.
@@ -342,7 +344,7 @@ template <typename Payload, typename ProgramFn>
     case BackendKind::kCost: {
       CostBackend backend(v);
       program(backend);
-      return backend.trace();
+      return std::move(backend).take_trace();
     }
     case BackendKind::kRecord: {
       RecordBackend backend(v);
@@ -367,7 +369,7 @@ template <typename Payload, typename ProgramFn>
     default: {
       SimulateBackend<Payload> backend(v, options.policy);
       program(backend);
-      return backend.trace();
+      return std::move(backend).take_trace();
     }
   }
 }

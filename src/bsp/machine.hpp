@@ -155,6 +155,8 @@ class Machine : public SuperstepDriver<Machine<Payload>> {
     return policy_;
   }
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
+  /// Hand the recorded trace out by move; the machine is spent afterwards.
+  [[nodiscard]] Trace take_trace() && noexcept { return std::move(trace_); }
 
   // superstep / superstep_range / superstep_sparse come from
   // SuperstepDriver (bsp/superstep.hpp): body(vp) runs for every active VP,

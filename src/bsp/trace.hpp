@@ -222,7 +222,9 @@ class DegreeAccumulator {
 /// query phase pays one O(supersteps · log v) build for O(1) lookups
 /// thereafter. The lazy build mutates cache state under const: concurrent
 /// first queries from multiple threads are not synchronized (the engine only
-/// appends single-threaded at the sync and analyses run after the fact).
+/// appends single-threaded at the sync and analyses run after the fact). A
+/// trace shared between threads gets build_tables() first; after that every
+/// query only reads.
 class Trace {
  public:
   Trace() = default;
@@ -278,6 +280,10 @@ class Trace {
 
   /// Largest superstep label present.
   [[nodiscard]] unsigned max_label() const noexcept { return max_label_; }
+
+  /// Build the cumulative tables now rather than on the first query, so
+  /// that concurrent const queries on this trace only read it.
+  void build_tables() const { ensure_cache(); }
 
   /// Concatenate another trace after this one (used to compose phases of an
   /// algorithm that is driven in separate machine runs).

@@ -321,34 +321,53 @@ std::vector<std::string> builtin_campaign_names() {
 // Execution.
 // ---------------------------------------------------------------------------
 
+std::vector<CampaignCell> campaign_cells(const CampaignSpec& spec) {
+  std::vector<CampaignCell> cells;
+  for (const BackendKind backend : spec.backends) {
+    // Non-simulating backends drive bodies sequentially regardless of the
+    // engine matrix: one run per (algorithm, n) suffices.
+    const std::vector<ExecutionPolicy> engines =
+        backend == BackendKind::kSimulate
+            ? spec.engines
+            : std::vector<ExecutionPolicy>{ExecutionPolicy::sequential()};
+    for (const ExecutionPolicy& policy : engines) {
+      for (const AlgoSweep& sweep : spec.sweeps) {
+        const AlgoEntry& entry = AlgoRegistry::instance().at(sweep.algorithm);
+        for (const std::uint64_t n : sweep.sizes) {
+          cells.push_back({&entry, n, backend, policy});
+        }
+      }
+    }
+  }
+  return cells;
+}
+
 RunResult evaluate_run(const CampaignSpec& spec, const AlgoEntry& entry,
                        std::uint64_t n, BackendKind backend,
-                       const ExecutionPolicy& policy, Trace trace) {
+                       const ExecutionPolicy& policy, const Trace& trace) {
   RunResult run;
   run.algorithm = entry.name;
   run.engine = to_string(policy);
   run.backend = to_string(backend);
   run.n = n;
-  run.trace = std::move(trace);
-  run.log_v = run.trace.log_v();
-  run.supersteps = run.trace.supersteps();
-  run.messages = run.trace.total_messages();
+  run.log_v = trace.log_v();
+  run.supersteps = trace.supersteps();
+  run.messages = trace.total_messages();
 
   const std::uint64_t top_fold =
-      spec.max_fold == 0 ? run.trace.v()
-                         : std::min<std::uint64_t>(spec.max_fold,
-                                                   run.trace.v());
+      spec.max_fold == 0 ? trace.v()
+                         : std::min<std::uint64_t>(spec.max_fold, trace.v());
   for (const std::uint64_t p : pow2_range(top_fold)) {
     const unsigned log_p = log2_exact(p);
-    run.folds.push_back({p, wiseness_alpha(run.trace, log_p),
-                         fullness_gamma(run.trace, log_p)});
+    run.folds.push_back(
+        {p, wiseness_alpha(trace, log_p), fullness_gamma(trace, log_p)});
     const std::vector<double> grid =
         spec.sigmas.empty() ? sigma_grid(n, p) : spec.sigmas;
     for (const double sigma : grid) {
       CellResult cell;
       cell.p = p;
       cell.sigma = sigma;
-      cell.h = communication_complexity(run.trace, log_p, sigma);
+      cell.h = communication_complexity(trace, log_p, sigma);
       cell.predicted = entry.predicted(n, p, sigma);
       cell.lower_bound = entry.lower_bound(n, p, sigma);
       cell.ratio_predicted =
@@ -361,67 +380,61 @@ RunResult evaluate_run(const CampaignSpec& spec, const AlgoEntry& entry,
     const unsigned log_top = log2_exact(top_fold);
     const std::vector<double> grid =
         spec.sigmas.empty() ? sigma_grid(n, top_fold) : spec.sigmas;
-    run.certification = certify_optimality(run.trace, n, log_top,
-                                           entry.lower_bound, grid);
+    run.certification =
+        certify_optimality(trace, n, log_top, entry.lower_bound, grid);
   }
   return run;
 }
 
 namespace {
 
-/// Execute one (algorithm, n, backend, engine) cell, evaluate its metric
-/// surface, and append the RunResult.
-void run_one_cell(const CampaignSpec& spec, const AlgoEntry& entry,
-                  std::uint64_t n, BackendKind backend,
-                  const ExecutionPolicy& policy, std::ostream* progress,
-                  std::vector<RunResult>* runs) {
-  if (progress != nullptr) {
-    *progress << "nobl: running " << entry.name << " n=" << n << " ["
-              << to_string(policy) << ", " << to_string(backend) << "]\n";
+/// Execute the cells one at a time: run, evaluate, show the trace to
+/// `visit`, then drop it (or move it into the RunResult when `keep_traces`).
+CampaignResult run_cells(const CampaignSpec& spec, std::ostream* progress,
+                         const CellVisitor& visit, bool keep_traces) {
+  CampaignResult result;
+  result.spec = spec;
+  for (const CampaignCell& cell : campaign_cells(spec)) {
+    const AlgoEntry& entry = *cell.entry;
+    if (progress != nullptr) {
+      *progress << "nobl: running " << entry.name << " n=" << cell.n << " ["
+                << to_string(cell.policy) << ", " << to_string(cell.backend)
+                << "]\n";
+    }
+    RunOptions options{cell.policy, cell.backend};
+    dist::Measurement measurement;
+    if (cell.backend == BackendKind::kDistributed) {
+      options.dist = spec.dist;
+      options.measure = &measurement;
+    }
+    Trace trace = entry.runner(cell.n, options);
+    RunResult run = evaluate_run(spec, entry, cell.n, cell.backend,
+                                 cell.policy, trace);
+    if (cell.backend == BackendKind::kDistributed) {
+      // Attach the measured wall-clock column next to the accounted degrees.
+      // evaluate_run is deliberately trace-only, so timing rides on the
+      // RunResult afterwards and never perturbs the metric surface.
+      run.measured_ms = std::move(measurement.superstep_ms);
+      run.measured_total_ms = measurement.total_ms;
+      run.transport = dist::to_string(measurement.transport);
+      run.dist_workers = measurement.workers;
+    }
+    if (visit) visit(run, trace);
+    if (keep_traces) run.trace = std::move(trace);
+    result.runs.push_back(std::move(run));
   }
-  RunOptions options{policy, backend};
-  dist::Measurement measurement;
-  if (backend == BackendKind::kDistributed) {
-    options.dist = spec.dist;
-    options.measure = &measurement;
-  }
-  RunResult run =
-      evaluate_run(spec, entry, n, backend, policy, entry.runner(n, options));
-  if (backend == BackendKind::kDistributed) {
-    // Attach the measured wall-clock column next to the accounted degrees.
-    // evaluate_run is deliberately trace-only, so timing rides on the
-    // RunResult afterwards and never perturbs the metric surface.
-    run.measured_ms = std::move(measurement.superstep_ms);
-    run.measured_total_ms = measurement.total_ms;
-    run.transport = dist::to_string(measurement.transport);
-    run.dist_workers = measurement.workers;
-  }
-  runs->push_back(std::move(run));
+  return result;
 }
 
 }  // namespace
 
+CampaignResult run_campaign(const CampaignSpec& spec, std::ostream* progress,
+                            const CellVisitor& visit) {
+  return run_cells(spec, progress, visit, /*keep_traces=*/false);
+}
+
 CampaignResult run_campaign(const CampaignSpec& spec, std::ostream* progress) {
-  CampaignResult result;
-  result.spec = spec;
-  for (const BackendKind backend : spec.backends) {
-    // Non-simulating backends drive bodies sequentially regardless of the
-    // engine matrix: one run per (algorithm, n) suffices.
-    const std::vector<ExecutionPolicy> engines =
-        backend == BackendKind::kSimulate
-            ? spec.engines
-            : std::vector<ExecutionPolicy>{ExecutionPolicy::sequential()};
-    for (const ExecutionPolicy& policy : engines) {
-      for (const AlgoSweep& sweep : spec.sweeps) {
-        const AlgoEntry& entry = AlgoRegistry::instance().at(sweep.algorithm);
-        for (const std::uint64_t n : sweep.sizes) {
-          run_one_cell(spec, entry, n, backend, policy, progress,
-                       &result.runs);
-        }
-      }
-    }
-  }
-  return result;
+  return run_cells(spec, progress, nullptr, /*keep_traces=*/true);
 }
 
 // ---------------------------------------------------------------------------

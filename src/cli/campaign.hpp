@@ -5,12 +5,18 @@
 // bsp/backend.hpp, core/analytic.hpp and dist/backend.hpp), an engine matrix,
 // a fold range and a σ grid. `run_campaign` executes every (algorithm, n,
 // backend, engine) cell once and evaluates the full metric surface from the
-// recorded trace:
+// recorded trace, one cell at a time:
 //
 //   * H measured vs predicted vs lower bound at every fold × σ,
 //   * wiseness α / fullness γ at every fold (Defs. 3.2 / 5.2),
 //   * the Theorem 3.4 certification (α, γ, β_min, guarantee) at the top
 //     fold.
+//
+// Every reported metric is a pure function of a cell's trace, so a cell's
+// trace is dropped as soon as its RunResult is evaluated: the runner holds
+// one trace in memory at a time. Callers that need the trace itself (the
+// Lemma 3.1 folding column of `nobl certify`, `nobl trace --export`) see it
+// through a CellVisitor while it is still alive.
 //
 // Results render as text tables or as schema-versioned JSON that
 // `nobl check` (and CI) can validate and threshold. Specs are either
@@ -19,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -102,6 +109,22 @@ struct FoldResult {
   double gamma = 0.0;
 };
 
+/// One (algorithm, n, backend, engine) cell of a campaign.
+struct CampaignCell {
+  const AlgoEntry* entry = nullptr;
+  std::uint64_t n = 0;
+  BackendKind backend = BackendKind::kSimulate;
+  ExecutionPolicy policy;
+};
+
+/// The spec's cells in result order: backend-major, then engine, sweep and
+/// n. Non-simulating backends drive bodies sequentially whatever the engine
+/// matrix, so they contribute one cell per (algorithm, n). `run_campaign`
+/// and `nobl serve` both expand a spec through this function, so a served
+/// document lists its runs exactly like `nobl run --json`.
+[[nodiscard]] std::vector<CampaignCell> campaign_cells(
+    const CampaignSpec& spec);
+
 /// Everything measured for one (algorithm, n, engine) run.
 struct RunResult {
   std::string algorithm;
@@ -116,7 +139,9 @@ struct RunResult {
   std::vector<CellResult> cells;
   std::vector<FoldResult> folds;
   OptimalityReport certification;  ///< at the top swept fold
-  Trace trace;                     ///< kept for `nobl trace --export`
+  /// Empty unless the run came from the trace-keeping `run_campaign`
+  /// overload, which exists for callers written before CellVisitor.
+  Trace trace;
   /// Distributed runs only: the measured wall-clock column (one entry per
   /// superstep) next to the accounted degrees, plus how it was produced.
   /// Empty superstep_ms = not a freshly-executed distributed run (other
@@ -132,8 +157,23 @@ struct CampaignResult {
   std::vector<RunResult> runs;
 };
 
-/// Execute the campaign. Progress lines ("algorithm n engine") go to
-/// `progress` when non-null (the CLI passes stderr so --json stays clean).
+/// Sees one evaluated cell and the trace it was evaluated from, while that
+/// trace is still in memory. The trace is dropped when the visitor returns.
+using CellVisitor = std::function<void(const RunResult&, const Trace&)>;
+
+/// Execute the campaign cell by cell in campaign_cells() order. Each cell's
+/// trace lives only until its RunResult is evaluated and `visit` (when set)
+/// has seen it, so memory is bounded by the largest single trace, not by
+/// their sum. Progress lines ("algorithm n engine") go to `progress` when
+/// non-null (the CLI passes stderr so --json stays clean).
+[[nodiscard]] CampaignResult run_campaign(const CampaignSpec& spec,
+                                          std::ostream* progress,
+                                          const CellVisitor& visit);
+
+/// As above without a visitor, except that every RunResult also keeps its
+/// trace in RunResult::trace, so memory grows with the sum of all traces.
+/// For callers that read RunResult::trace after the run; new code passes a
+/// CellVisitor (or nullptr) to the overload above instead.
 [[nodiscard]] CampaignResult run_campaign(const CampaignSpec& spec,
                                           std::ostream* progress = nullptr);
 
@@ -141,12 +181,14 @@ struct CampaignResult {
 /// already-executed (algorithm, n, backend, engine) cell from its trace.
 /// This is the execution-free half of a campaign run: `nobl serve` calls it
 /// on cache-hit traces so a served cell is byte-identical to a fresh
-/// `run_campaign` cell by construction (same code path, same trace).
+/// `run_campaign` cell by construction (same code path, same trace). Only
+/// const queries touch `trace`; on a trace whose tables are already built
+/// (Trace::build_tables) concurrent calls are safe.
 [[nodiscard]] RunResult evaluate_run(const CampaignSpec& spec,
                                      const AlgoEntry& entry, std::uint64_t n,
                                      BackendKind backend,
                                      const ExecutionPolicy& policy,
-                                     Trace trace);
+                                     const Trace& trace);
 
 /// Serialize `spec` back to the line-oriented campaign grammar, such that
 /// parse_campaign_spec(rendered) reproduces the spec. Used by the serve

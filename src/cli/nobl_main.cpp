@@ -377,7 +377,7 @@ int cmd_run(const std::vector<std::string>& args) {
 
   const CampaignSpec spec = resolve_campaign(campaign_args);
   const CampaignResult result =
-      run_campaign(spec, quiet ? nullptr : &std::cerr);
+      run_campaign(spec, quiet ? nullptr : &std::cerr, nullptr);
 
   if (!json_path.empty()) {
     if (json_path == "-") {
@@ -453,17 +453,25 @@ int cmd_certify(const std::vector<std::string>& args) {
   if (early.has_value()) return *early;
 
   const CampaignSpec spec = resolve_campaign(campaign_args);
-  const CampaignResult result =
-      run_campaign(spec, quiet ? nullptr : &std::cerr);
+  // The Lemma 3.1 column is the one verdict that is not in RunResult, so it
+  // is taken from each trace while the runner still holds it.
+  std::vector<bool> folding_holds;
+  const CampaignResult result = run_campaign(
+      spec, quiet ? nullptr : &std::cerr,
+      [&folding_holds](const RunResult& run, const Trace& trace) {
+        bool folding = true;
+        for (unsigned log_p = 1; log_p <= run.log_v; ++log_p) {
+          folding = folding && folding_inequality_holds(trace, log_p);
+        }
+        folding_holds.push_back(folding);
+      });
 
   Table verdicts("certification per run (Thm 3.4 at the top swept fold)",
                  {"algorithm", "n", "engine", "backend", "alpha", "gamma",
                   "beta_min", "guarantee", "folding (L3.1)"});
-  for (const RunResult& run : result.runs) {
-    bool folding = true;
-    for (unsigned log_p = 1; log_p <= run.log_v; ++log_p) {
-      folding = folding && folding_inequality_holds(run.trace, log_p);
-    }
+  for (std::size_t i = 0; i < result.runs.size(); ++i) {
+    const RunResult& run = result.runs[i];
+    const bool folding = folding_holds[i];
     verdicts.row()
         .add(run.algorithm)
         .add(run.n)
@@ -557,18 +565,19 @@ int cmd_trace(const std::vector<std::string>& args) {
     // pins every other.
     spec.engines = {spec.engines.front()};
     spec.backends = {spec.backends.front()};
-    const CampaignResult result =
-        run_campaign(spec, quiet ? nullptr : &std::cerr);
     std::filesystem::create_directories(export_dir);
     const bool binary = format == "bin";
-    for (const RunResult& run : result.runs) {
-      const std::filesystem::path path =
-          std::filesystem::path(export_dir) /
-          (run.algorithm + "_n" + std::to_string(run.n) +
-           (binary ? kTraceBinExtension : ".csv"));
-      save_trace(path.string(), run.trace, binary);
-      if (!quiet) std::cerr << "nobl: wrote " << path.string() << "\n";
-    }
+    // Each file is written while the runner still holds its trace.
+    (void)run_campaign(
+        spec, quiet ? nullptr : &std::cerr,
+        [&](const RunResult& run, const Trace& trace) {
+          const std::filesystem::path path =
+              std::filesystem::path(export_dir) /
+              (run.algorithm + "_n" + std::to_string(run.n) +
+               (binary ? kTraceBinExtension : ".csv"));
+          save_trace(path.string(), trace, binary);
+          if (!quiet) std::cerr << "nobl: wrote " << path.string() << "\n";
+        });
     return 0;
   }
 

@@ -212,7 +212,7 @@ RoutedResult<T> execute_ascend_descend(std::uint64_t p, unsigned label_i,
                 return a.src < b.src;
               });
   }
-  result.trace = machine.trace();
+  result.trace = std::move(machine).take_trace();
   return result;
 }
 

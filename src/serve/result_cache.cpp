@@ -202,6 +202,9 @@ std::shared_ptr<const Trace> ResultCache::get_or_compute(
       trace = std::make_shared<const Trace>(compute());
       store_to_disk(key, *trace);
     }
+    // Published traces are shared by concurrent evaluate_run calls, so the
+    // lazy tables are built here, before any other thread can see the trace.
+    trace->build_tables();
   } catch (...) {
     lock.lock();
     flights_.erase(k);

@@ -98,6 +98,8 @@ class ResultCache {
   /// order). Thread-safe; `compute` runs outside the cache lock. `tier`
   /// (when non-null) reports which path answered. Exceptions from
   /// `compute` propagate to every coalesced waiter as well as the caller.
+  /// The returned trace has its tables built (Trace::build_tables), so
+  /// threads may query it concurrently.
   [[nodiscard]] std::shared_ptr<const Trace> get_or_compute(
       const CacheKey& key, const std::function<Trace()>& compute,
       CacheTier* tier = nullptr);

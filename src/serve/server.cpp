@@ -13,7 +13,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/registry.hpp"
 #include "util/fd_io.hpp"
 
 namespace nobl::serve {
@@ -93,26 +92,8 @@ void ServeCore::submit(std::uint64_t request_id, const std::string& spec_text,
   // Expand cells in run_campaign order, so an aggregated response document
   // lists runs exactly like `nobl run --json` would.
   std::vector<Cell> cells;
-  for (const BackendKind backend : spec->backends) {
-    const std::vector<ExecutionPolicy> engines =
-        backend == BackendKind::kSimulate
-            ? spec->engines
-            : std::vector<ExecutionPolicy>{ExecutionPolicy::sequential()};
-    for (const ExecutionPolicy& policy : engines) {
-      for (const AlgoSweep& sweep : spec->sweeps) {
-        const AlgoEntry& entry = AlgoRegistry::instance().at(sweep.algorithm);
-        for (const std::uint64_t n : sweep.sizes) {
-          Cell cell;
-          cell.request = request;
-          cell.seq = cells.size();
-          cell.entry = &entry;
-          cell.n = n;
-          cell.backend = backend;
-          cell.policy = policy;
-          cells.push_back(std::move(cell));
-        }
-      }
-    }
+  for (const CampaignCell& campaign_cell : campaign_cells(*spec)) {
+    cells.push_back(Cell{campaign_cell, request, cells.size()});
   }
   request->total_cells = cells.size();
   request->remaining.store(cells.size(), std::memory_order_relaxed);
@@ -196,10 +177,10 @@ void ServeCore::process(const Cell& cell) {
         &tier);
     // The exact metric/JSON path of `nobl run`: a cache-hit cell and a
     // freshly-executed cell are byte-identical because they ARE the same
-    // code over the same (bit-identical) trace.
+    // code over the same (bit-identical) trace. The cache publishes traces
+    // with their tables built, so workers share it read-only.
     const RunResult run = evaluate_run(*request->spec, *cell.entry, cell.n,
-                                       cell.backend, cell.policy,
-                                       Trace(*trace));
+                                       cell.backend, cell.policy, *trace);
     const double latency_ms = ms_since(cell_start);
     std::size_t depth = 0;
     {

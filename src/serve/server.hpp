@@ -107,13 +107,9 @@ class ServeCore {
     std::chrono::steady_clock::time_point start;
   };
 
-  struct Cell {
+  struct Cell : CampaignCell {
     std::shared_ptr<RequestState> request;
     std::uint64_t seq = 0;
-    const AlgoEntry* entry = nullptr;
-    std::uint64_t n = 0;
-    BackendKind backend = BackendKind::kSimulate;
-    ExecutionPolicy policy;
   };
 
   void worker_loop();

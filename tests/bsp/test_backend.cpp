@@ -81,6 +81,7 @@ enum class Rule {
   kSparseUnsorted,
   kSparseDuplicate,
   kSparsePastV,
+  kRecoverAfterRejectedSparse,
   kSendPastV,
   kDummyPastV,
   kSendBreach,
@@ -121,6 +122,14 @@ void drive(Rule rule, Backend& bk) {
     case Rule::kSparsePastV:
       bk.superstep_sparse(0, std::vector<std::uint64_t>{0, 4}, idle);
       break;
+    case Rule::kRecoverAfterRejectedSparse:
+      try {
+        bk.superstep_sparse(0, std::vector<std::uint64_t>{2, 1}, idle);
+      } catch (const std::invalid_argument&) {
+        bk.superstep(0, [](auto& vp) { vp.send(vp.id() ^ 1, 1); });
+        break;
+      }
+      throw std::logic_error("unsorted sparse set accepted");
     case Rule::kSendPastV:
       bk.superstep(0, [](auto& vp) {
         if (vp.id() == 0) vp.send(4, 1);
@@ -181,6 +190,8 @@ TEST(Backends, EverySuperstepRuleHoldsOnEveryBackend) {
       {"sparse unsorted", Rule::kSparseUnsorted, 4, invalid, sparse_msg},
       {"sparse duplicate", Rule::kSparseDuplicate, 4, invalid, sparse_msg},
       {"sparse id >= v", Rule::kSparsePastV, 4, invalid, sparse_msg},
+      {"legal superstep after a rejected sparse one",
+       Rule::kRecoverAfterRejectedSparse, 4, nullptr, ""},
       {"send dst >= v", Rule::kSendPastV, 4, range, dst_msg},
       {"send_dummy dst >= v", Rule::kDummyPastV, 4, range, dst_msg},
       {"send breach", Rule::kSendBreach, 4, breach, breach_msg},

@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "core/wiseness.hpp"
 #include "util/rng.hpp"
 
 namespace nobl {
@@ -242,6 +243,61 @@ TEST(CampaignRun, MaxFoldAndExplicitSigmasRespected) {
   ASSERT_EQ(run.cells.size(), 8u);  // 4 folds x 2 sigmas
   EXPECT_EQ(run.cells[1].sigma, 2.0);
   EXPECT_EQ(run.certification.p, 16u);
+}
+
+// The visitor is how certify and trace export reach a cell's trace now that
+// the runner drops it: each cell is visited once, in result order, with the
+// trace its runner produces, and the Lemma 3.1 column computed from the
+// visited traces matches the one computed from fresh runs.
+TEST(CampaignRun, VisitorSeesEachCellsTraceOnceInResultOrder) {
+  const CampaignSpec spec = builtin_campaign("golden");
+  const std::vector<CampaignCell> cells = campaign_cells(spec);
+  ASSERT_EQ(cells.size(), 8u);
+  const auto folding_holds = [](const Trace& trace) {
+    bool holds = true;
+    for (unsigned log_p = 1; log_p <= trace.log_v(); ++log_p) {
+      holds = folding_inequality_holds(trace, log_p) && holds;
+    }
+    return holds;
+  };
+  std::size_t visits = 0;
+  std::vector<bool> visited_verdicts;
+  const CampaignResult result = run_campaign(
+      spec, nullptr, [&](const RunResult& run, const Trace& trace) {
+        ASSERT_LT(visits, cells.size());
+        const CampaignCell& cell = cells[visits++];
+        EXPECT_EQ(run.algorithm, cell.entry->name);
+        EXPECT_EQ(run.n, cell.n);
+        EXPECT_EQ(run.backend, to_string(cell.backend));
+        EXPECT_EQ(run.engine, to_string(cell.policy));
+        const Trace fresh =
+            cell.entry->runner(cell.n, RunOptions{cell.policy, cell.backend});
+        ASSERT_EQ(trace.log_v(), fresh.log_v());
+        ASSERT_EQ(trace.supersteps(), fresh.supersteps());
+        for (std::size_t s = 0; s < trace.supersteps(); ++s) {
+          EXPECT_EQ(trace.steps()[s].label, fresh.steps()[s].label);
+          EXPECT_EQ(trace.steps()[s].messages, fresh.steps()[s].messages);
+          EXPECT_EQ(trace.steps()[s].degree, fresh.steps()[s].degree);
+        }
+        EXPECT_EQ(folding_holds(trace), folding_holds(fresh)) << run.algorithm;
+        visited_verdicts.push_back(folding_holds(trace));
+      });
+  EXPECT_EQ(visits, cells.size());
+  ASSERT_EQ(result.runs.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(result.runs[i].algorithm, cells[i].entry->name);
+    EXPECT_EQ(result.runs[i].n, cells[i].n);
+    // The streaming runner keeps no trace in its results.
+    EXPECT_EQ(result.runs[i].trace.supersteps(), 0u);
+    EXPECT_TRUE(visited_verdicts[i]) << cells[i].entry->name;
+  }
+  // Without a visitor, the compatibility overload keeps every trace.
+  const CampaignResult kept = run_campaign(spec);
+  ASSERT_EQ(kept.runs.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(kept.runs[i].trace.supersteps(), result.runs[i].supersteps);
+    EXPECT_GT(kept.runs[i].trace.supersteps(), 0u);
+  }
 }
 
 JsonValue to_doc(const CampaignResult& result) {

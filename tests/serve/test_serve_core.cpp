@@ -134,6 +134,53 @@ TEST(ServeCore, SecondRequestIsServedFromMemoryByteIdentically) {
   EXPECT_EQ(docs.back().at("cache").at("executed").as_number(), 0);
 }
 
+// Engines are not part of the cache key, so the seq and par:2 cells of one
+// kernel share one cached trace. Both workers are held until both cells have
+// started, so they evaluate that trace at the same time: first cold (one
+// executes, the other waits on it), then from the memory tier. The cache
+// builds a trace's tables before publishing it, so evaluation only reads
+// the shared trace (this suite runs under TSan in CI).
+TEST(ServeCore, TwoWorkersEvaluateOneSharedTraceAtOnce) {
+  constexpr const char* kSharedSpec =
+      "name = shared\nalgorithms = fft:256\nengines = seq, par:2\n";
+  std::mutex mutex;
+  std::condition_variable cv;
+  unsigned started = 0;
+  ServeConfig config;
+  config.workers = 2;
+  config.on_cell_start = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++started;
+    cv.notify_all();
+    cv.wait(lock, [&] { return started % 2 == 0; });
+  };
+  ServeCore core(config);
+
+  const CampaignResult batch =
+      run_campaign(parse_campaign_spec(kSharedSpec), nullptr, nullptr);
+  ASSERT_EQ(batch.runs.size(), 2u);
+  for (std::uint64_t request = 1; request <= 2; ++request) {
+    SCOPED_TRACE(request == 1 ? "cold" : "memory tier");
+    Collector out;
+    core.submit(request, kSharedSpec, out.sink());
+    core.wait_idle();
+    const std::vector<JsonValue> docs = out.docs();
+    const JsonValue& cache = docs.back().at("cache");
+    EXPECT_EQ(cache.at("executed").as_number(), request == 1 ? 1 : 0);
+    if (request == 2) {
+      EXPECT_EQ(cache.at("memory").as_number(), 2);
+    }
+    const std::map<std::uint64_t, std::string> served = out.raw_runs();
+    ASSERT_EQ(served.size(), batch.runs.size());
+    for (std::uint64_t seq = 0; seq < batch.runs.size(); ++seq) {
+      std::ostringstream os;
+      JsonWriter w(os, /*indent=*/0);
+      write_run_json(w, batch.runs[seq]);
+      EXPECT_EQ(served.at(seq), os.str()) << "seq " << seq;
+    }
+  }
+}
+
 TEST(ServeCore, ColdRestartServesFromDiskWithoutExecuting) {
   const std::string dir = fresh_dir("restart");
   Collector cold;
