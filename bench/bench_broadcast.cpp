@@ -18,13 +18,16 @@ void report() {
            "meas/LB"});
   for (const std::uint64_t p : {64u, 1024u, 16384u}) {
     for (const double sigma : {0.0, 4.0, 32.0, 256.0, 4096.0}) {
-      const auto run = broadcast_aware(p, sigma, 1, benchx::engine());
+      const std::uint64_t kappa = broadcast_aware_kappa(p, sigma);
+      const auto run = run_program<std::uint64_t>(
+          p,
+          [&](auto& bk) {
+            return broadcast_program(bk, kappa, std::uint64_t{1});
+          },
+          benchx::engine());
       const double h =
           communication_complexity(run.trace, run.trace.log_v(), sigma);
       const double lower = lb::broadcast(p, sigma);
-      const std::uint64_t kappa =
-          std::min<std::uint64_t>(p, ceil_pow2(static_cast<std::uint64_t>(
-                                        std::max(2.0, sigma))));
       t.row().add(p).add(sigma).add(kappa).add(h).add(lower).add(h / lower);
     }
   }
@@ -38,7 +41,12 @@ void report() {
            "theorem LB on GAP"});
   const std::uint64_t p = 4096;
   for (const std::uint64_t kappa : {2u, 8u, 64u}) {
-    const auto run = broadcast_oblivious(p, kappa, 1, benchx::engine());
+    const auto run = run_program<std::uint64_t>(
+        p,
+        [&](auto& bk) {
+          return broadcast_program(bk, kappa, std::uint64_t{1});
+        },
+        benchx::engine());
     for (const double sigma2 : {16.0, 256.0, 65536.0}) {
       g.row()
           .add(kappa)
@@ -57,13 +65,18 @@ void report() {
   Table c("H(p = 4096, sigma) of fixed-fanout trees",
           {"sigma", "kappa=2", "kappa=8", "kappa=64", "aware (adaptive)"});
   for (const double sigma : {0.0, 2.0, 8.0, 64.0, 1024.0}) {
-    const auto aware = broadcast_aware(p, sigma, 1, benchx::engine());
     c.row().add(sigma);
-    for (const std::uint64_t kappa : {2u, 8u, 64u}) {
-      const auto run = broadcast_oblivious(p, kappa, 1, benchx::engine());
+    for (const std::uint64_t kappa :
+         {std::uint64_t{2}, std::uint64_t{8}, std::uint64_t{64},
+          broadcast_aware_kappa(p, sigma)}) {
+      const auto run = run_program<std::uint64_t>(
+          p,
+          [&](auto& bk) {
+            return broadcast_program(bk, kappa, std::uint64_t{1});
+          },
+          benchx::engine());
       c.add(communication_complexity(run.trace, run.trace.log_v(), sigma));
     }
-    c.add(communication_complexity(aware.trace, aware.trace.log_v(), sigma));
   }
   std::cout << c;
 }
@@ -71,8 +84,14 @@ void report() {
 void BM_BroadcastAware(benchmark::State& state) {
   const auto p = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
-    auto run = broadcast_aware(p, 16.0, 1, benchx::engine());
-    benchmark::DoNotOptimize(run.values);
+    auto run = run_program<std::uint64_t>(
+        p,
+        [&](auto& bk) {
+          return broadcast_program(bk, broadcast_aware_kappa(p, 16.0),
+                                   std::uint64_t{1});
+        },
+        benchx::engine());
+    benchmark::DoNotOptimize(run.output);
   }
 }
 BENCHMARK(BM_BroadcastAware)->Arg(1024)->Arg(65536);

@@ -37,8 +37,10 @@ ExecutionPolicy policy_for(unsigned threads) {
 bool report() {
   benchx::banner("E-ENG  engine scaling: parallel against sequential");
   const auto signal = benchx::random_signal(kV, 11);
-  const FftRun seq = fft_oblivious(signal);
-  const FftRun par = fft_oblivious(signal, true, ExecutionPolicy::parallel(4));
+  auto fft = [&](auto& bk) { return fft_program(bk, signal); };
+  const auto seq = run_program<std::complex<double>>(kV, fft);
+  const auto par = run_program<std::complex<double>>(
+      kV, fft, ExecutionPolicy::parallel(4));
   bool identical = seq.output == par.output &&
                    seq.trace.supersteps() == par.trace.supersteps();
   for (std::size_t s = 0; identical && s < seq.trace.supersteps(); ++s) {
@@ -53,7 +55,8 @@ void BM_EngineFft(benchmark::State& state) {
   const auto signal = benchx::random_signal(kV, 11);
   const auto policy = policy_for(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
-    auto run = fft_oblivious(signal, true, policy);
+    auto run = run_program<std::complex<double>>(
+        kV, [&](auto& bk) { return fft_program(bk, signal); }, policy);
     benchmark::DoNotOptimize(run.output);
   }
 }
@@ -63,7 +66,8 @@ void BM_EngineBitonic(benchmark::State& state) {
   const auto keys = benchx::random_keys(kV, 12);
   const auto policy = policy_for(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
-    auto run = bitonic_sort_oblivious(keys, policy);
+    auto run = run_program<std::uint64_t>(
+        kV, [&](auto& bk) { return bitonic_sort_program(bk, keys); }, policy);
     benchmark::DoNotOptimize(run.output);
   }
 }
@@ -73,7 +77,8 @@ void BM_EngineColumnsort(benchmark::State& state) {
   const auto keys = benchx::random_keys(kV, 13);
   const auto policy = policy_for(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
-    auto run = sort_oblivious(keys, true, policy);
+    auto run = run_program<std::uint64_t>(
+        kV, [&](auto& bk) { return sort_program(bk, keys); }, policy);
     benchmark::DoNotOptimize(run.output);
   }
 }
@@ -84,8 +89,9 @@ void BM_EngineMatmul(benchmark::State& state) {
   const auto b = benchx::random_matrix(64, 15);
   const auto policy = policy_for(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
-    auto run = matmul_oblivious(a, b, true, policy);
-    benchmark::DoNotOptimize(run.c);
+    auto run = run_program<MatmulMsg<long>>(
+        64 * 64, [&](auto& bk) { return matmul_program(bk, a, b); }, policy);
+    benchmark::DoNotOptimize(run.output);
   }
 }
 BENCHMARK(BM_EngineMatmul)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8);

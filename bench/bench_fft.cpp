@@ -39,7 +39,8 @@ void BM_FftOblivious(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   const auto x = benchx::random_signal(n, 5);
   for (auto _ : state) {
-    auto run = fft_oblivious(x, true, benchx::engine());
+    auto run = run_program<std::complex<double>>(
+        n, [&](auto& bk) { return fft_program(bk, x); }, benchx::engine());
     benchmark::DoNotOptimize(run.output);
   }
 }

@@ -32,16 +32,18 @@ void report() {
   Table t("peak matrix entries resident at any VP",
           {"n", "peak entries", "n^(1/3)", "peak / n^(1/3)"});
   for (const std::uint64_t m : {8u, 64u, 128u}) {
-    const auto run = matmul_oblivious(benchx::random_matrix(m, 2 * m),
-                                      benchx::random_matrix(m, 2 * m + 1),
-                                      true, benchx::engine());
+    const auto a = benchx::random_matrix(m, 2 * m);
+    const auto b = benchx::random_matrix(m, 2 * m + 1);
+    const auto run = run_program<MatmulMsg<long>>(
+        m * m, [&](auto& bk) { return matmul_program(bk, a, b); },
+        benchx::engine());
     const double n = static_cast<double>(m) * static_cast<double>(m);
     const double root = std::cbrt(n);
     t.row()
         .add(static_cast<std::uint64_t>(n))
-        .add(static_cast<std::uint64_t>(run.peak_vp_entries))
+        .add(static_cast<std::uint64_t>(run.output.peak_vp_entries))
         .add(root)
-        .add(static_cast<double>(run.peak_vp_entries) / root);
+        .add(static_cast<double>(run.output.peak_vp_entries) / root);
   }
   std::cout << t;
 }
@@ -50,13 +52,16 @@ void BM_MatmulOblivious(benchmark::State& state) {
   const auto m = static_cast<std::uint64_t>(state.range(0));
   const auto a = benchx::random_matrix(m, 1);
   const auto b = benchx::random_matrix(m, 2);
+  std::uint64_t messages = 0;
   for (auto _ : state) {
-    auto run = matmul_oblivious(a, b, true, benchx::engine());
-    benchmark::DoNotOptimize(run.c);
+    auto run = run_program<MatmulMsg<long>>(
+        m * m, [&](auto& bk) { return matmul_program(bk, a, b); },
+        benchx::engine());
+    benchmark::DoNotOptimize(run.output);
+    messages = run.trace.total_messages();
   }
   state.counters["VPs"] = static_cast<double>(m * m);
-  state.counters["messages"] = static_cast<double>(
-      matmul_oblivious(a, b, true, benchx::engine()).trace.total_messages());
+  state.counters["messages"] = static_cast<double>(messages);
 }
 BENCHMARK(BM_MatmulOblivious)->Arg(8)->Arg(32)->Arg(64);
 

@@ -24,12 +24,14 @@ void report() {
   benchx::banner("Communication/space trade-off (same n, both algorithms)");
   Table t("H at sigma = 0, fold p, n = 4096",
           {"p", "H cube-root blow-up", "H constant memory", "space / cube"});
-  const auto cube = matmul_oblivious(benchx::random_matrix(64, 1),
-                                     benchx::random_matrix(64, 2), true,
-                                     benchx::engine());
-  const auto flat = matmul_space_oblivious(benchx::random_matrix(64, 1),
-                                           benchx::random_matrix(64, 2), true,
-                                           benchx::engine());
+  const auto a = benchx::random_matrix(64, 1);
+  const auto b = benchx::random_matrix(64, 2);
+  const auto cube = run_program<MatmulMsg<long>>(
+      4096, [&](auto& bk) { return matmul_program(bk, a, b); },
+      benchx::engine());
+  const auto flat = run_program<MatmulSpaceMsg<long>>(
+      4096, [&](auto& bk) { return matmul_space_program(bk, a, b); },
+      benchx::engine());
   for (std::uint64_t p = 4; p <= 4096; p *= 4) {
     const unsigned log_p = log2_exact(p);
     const double hc = communication_complexity(cube.trace, log_p, 0);
@@ -37,9 +39,10 @@ void report() {
     t.row().add(p).add(hc).add(hs).add(hs / hc);
   }
   std::cout << t << "\n  peak VP entries: cube-root variant = "
-            << cube.peak_vp_entries
-            << ", constant-memory variant = " << flat.peak_vp_entries
-            << " (stack of " << flat.peak_vp_entries / 3 << " levels)\n";
+            << cube.output.peak_vp_entries
+            << ", constant-memory variant = " << matmul_space_peak_entries(4096)
+            << " (stack of " << matmul_space_peak_entries(4096) / 3
+            << " levels)\n";
 
   benchx::banner("E-W    wiseness of the space-efficient recursion");
   std::cout << wiseness_table("space-efficient n-MM", runs);
@@ -50,8 +53,10 @@ void BM_MatmulSpace(benchmark::State& state) {
   const auto a = benchx::random_matrix(m, 3);
   const auto b = benchx::random_matrix(m, 4);
   for (auto _ : state) {
-    auto run = matmul_space_oblivious(a, b, true, benchx::engine());
-    benchmark::DoNotOptimize(run.c);
+    auto run = run_program<MatmulSpaceMsg<long>>(
+        m * m, [&](auto& bk) { return matmul_space_program(bk, a, b); },
+        benchx::engine());
+    benchmark::DoNotOptimize(run.output);
   }
 }
 BENCHMARK(BM_MatmulSpace)->Arg(8)->Arg(32);

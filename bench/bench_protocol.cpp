@@ -64,14 +64,17 @@ void report() {
   Table o("FFT n = 4096 under both protocols",
           {"topology", "D standard", "D ascend-descend", "overhead",
            "log^2 p"});
-  const Trace fft_trace = fft_oblivious(benchx::random_signal(4096, 1), true, benchx::engine()).trace;
+  const auto signal = benchx::random_signal(4096, 1);
+  const auto fft = run_program<std::complex<double>>(
+      4096, [&](auto& bk) { return fft_program(bk, signal); },
+      benchx::engine());
   for (const std::uint64_t p : {16u, 64u}) {
     const unsigned log_p = log2_exact(p);
     for (const auto& params :
          {topology::hypercube(p), topology::mesh(p, 2)}) {
-      const double standard = communication_time(fft_trace, params);
+      const double standard = communication_time(fft.trace, params);
       const double transformed = communication_time(
-          ascend_descend_transform(fft_trace, log_p), params);
+          ascend_descend_transform(fft.trace, log_p), params);
       o.row()
           .add(params.name)
           .add(standard)
@@ -125,9 +128,12 @@ void report() {
 }
 
 void BM_AscendDescend(benchmark::State& state) {
-  const Trace trace = fft_oblivious(benchx::random_signal(4096, 2), true, benchx::engine()).trace;
+  const auto signal = benchx::random_signal(4096, 2);
+  const auto fft = run_program<std::complex<double>>(
+      4096, [&](auto& bk) { return fft_program(bk, signal); },
+      benchx::engine());
   for (auto _ : state) {
-    auto out = ascend_descend_transform(trace, 6);
+    auto out = ascend_descend_transform(fft.trace, 6);
     benchmark::DoNotOptimize(out);
   }
 }

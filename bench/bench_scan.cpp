@@ -59,7 +59,9 @@ void BM_ScanOblivious(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   const auto values = benchx::random_addends(n, 11);
   for (auto _ : state) {
-    auto run = scan_oblivious(values, benchx::engine());
+    auto run = run_program<std::uint64_t>(
+        n, [&](auto& bk) { return scan_program(bk, values); },
+        benchx::engine());
     benchmark::DoNotOptimize(run.output);
   }
 }

@@ -58,9 +58,12 @@ void report() {
            {"n", "p", "H columnsort", "H bitonic", "col/bit",
             "pred col/bit at n=2^40"});
   for (const std::uint64_t n : {256u, 1024u, 4096u}) {
-    const auto col = sort_oblivious(benchx::random_keys(n, n + 1), true, benchx::engine());
-    const auto bit =
-        bitonic_sort_oblivious(benchx::random_keys(n, n + 1), benchx::engine());
+    const auto keys = benchx::random_keys(n, n + 1);
+    const auto col = run_program<std::uint64_t>(
+        n, [&](auto& bk) { return sort_program(bk, keys); }, benchx::engine());
+    const auto bit = run_program<std::uint64_t>(
+        n, [&](auto& bk) { return bitonic_sort_program(bk, keys); },
+        benchx::engine());
     for (const std::uint64_t p : {16u, 64u}) {
       const unsigned log_p = log2_exact(p);
       const double hc = communication_complexity(col.trace, log_p, 0);
@@ -86,7 +89,8 @@ void BM_SortOblivious(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   const auto keys = benchx::random_keys(n, 9);
   for (auto _ : state) {
-    auto run = sort_oblivious(keys, true, benchx::engine());
+    auto run = run_program<std::uint64_t>(
+        n, [&](auto& bk) { return sort_program(bk, keys); }, benchx::engine());
     benchmark::DoNotOptimize(run.output);
   }
 }

@@ -74,8 +74,12 @@ void report() {
            {"n", "D diamond", "D row-wise", "row/diamond"});
   for (const std::uint64_t n : {64u, 256u, 1024u}) {
     const auto rod = benchx::random_rod(n, n + 7);
-    const auto d = stencil1_oblivious(rod, heat, true, 0, benchx::engine());
-    const auto r = stencil1_rowwise(rod, heat, benchx::engine());
+    const auto d = run_program<double>(
+        n, [&](auto& bk) { return stencil1_program(bk, rod, heat); },
+        benchx::engine());
+    const auto r = run_program<double>(
+        n, [&](auto& bk) { return stencil1_rowwise_program(bk, rod, heat); },
+        benchx::engine());
     const auto params = topology::uniform(4, 1.0, 1000.0);
     const double dd = communication_time(d.trace, params);
     const double dr = communication_time(r.trace, params);
@@ -87,9 +91,11 @@ void report() {
   Table ka("H(p = v, sigma = 0) and supersteps as k varies, n = 256",
            {"k", "supersteps", "H", "D on hypercube(16)"});
   for (const std::uint64_t k : {2u, 4u, 8u, 16u}) {
-    const auto run =
-        stencil1_oblivious(benchx::random_rod(256, 3), heat, true, k,
-                           benchx::engine());
+    const auto rod = benchx::random_rod(256, 3);
+    const auto run = run_program<double>(
+        256,
+        [&](auto& bk) { return stencil1_program(bk, rod, heat, true, k); },
+        benchx::engine());
     ka.row()
         .add(k)
         .add(run.trace.supersteps())
@@ -103,8 +109,10 @@ void BM_Stencil1Diamond(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   const auto rod = benchx::random_rod(n, 11);
   for (auto _ : state) {
-    auto run = stencil1_oblivious(rod, heat, true, 0, benchx::engine());
-    benchmark::DoNotOptimize(run.grid);
+    auto run = run_program<double>(
+        n, [&](auto& bk) { return stencil1_program(bk, rod, heat); },
+        benchx::engine());
+    benchmark::DoNotOptimize(run.output);
   }
 }
 BENCHMARK(BM_Stencil1Diamond)->Arg(64)->Arg(256);

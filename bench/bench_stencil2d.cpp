@@ -74,7 +74,9 @@ void report() {
 void BM_Stencil2Schedule(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
-    auto run = stencil2_oblivious_schedule(n, true, 0, benchx::engine());
+    auto run = run_program<std::uint8_t>(
+        n * n, [&](auto& bk) { return stencil2_program(bk, n); },
+        benchx::engine());
     benchmark::DoNotOptimize(run.trace);
   }
 }

@@ -15,10 +15,11 @@ namespace {
 /// The flat alternative: the whole permutation in a single 0-superstep
 /// (primitives.hpp::transpose). Same messages, no locality structure.
 Trace flat_transpose_trace(std::uint64_t m, const ExecutionPolicy& policy) {
-  Machine<long> machine(m * m, policy);
   auto values = benchx::random_matrix(m, m).data();
-  transpose(machine, std::span<long>(values), m, m);
-  return std::move(machine).take_trace();
+  auto run = run_program<long>(
+      m * m, [&](auto& bk) { transpose(bk, std::span<long>(values), m, m); },
+      policy);
+  return std::move(run.trace);
 }
 
 void report() {
@@ -40,8 +41,10 @@ void report() {
   Table ab("D-BSP communication time, recursive / flat",
            {"n", "topology", "p", "D recursive", "D flat", "rec/flat"});
   for (const std::uint64_t m : {32u, 64u}) {
-    const auto rec =
-        transpose_oblivious(benchx::random_matrix(m, m), benchx::engine());
+    const auto a = benchx::random_matrix(m, m);
+    const auto rec = run_program<long>(
+        m * m, [&](auto& bk) { return transpose_program(bk, a); },
+        benchx::engine());
     const Trace flat = flat_transpose_trace(m, benchx::engine());
     for (const DbspParams& params : topology::standard_suite(64)) {
       ab.row()
@@ -68,7 +71,9 @@ void BM_TransposeOblivious(benchmark::State& state) {
   const auto m = static_cast<std::uint64_t>(state.range(0));
   const auto a = benchx::random_matrix(m, 13);
   for (auto _ : state) {
-    auto run = transpose_oblivious(a, benchx::engine());
+    auto run = run_program<long>(
+        m * m, [&](auto& bk) { return transpose_program(bk, a); },
+        benchx::engine());
     benchmark::DoNotOptimize(run.output);
   }
 }

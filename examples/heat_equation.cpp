@@ -26,18 +26,22 @@ int main() {
     return 0.25 * l + 0.5 * c + 0.25 * r;
   };
 
-  const auto diamond = stencil1_oblivious(rod, physics);
-  const auto rowwise = stencil1_rowwise(rod, physics);
+  // run_program simulates a kernel's program on M(n) and hands back its
+  // output (here the space-time grid) together with the recorded trace.
+  const auto diamond = run_program<double>(
+      n, [&](auto& bk) { return stencil1_program(bk, rod, physics); });
+  const auto rowwise = run_program<double>(
+      n, [&](auto& bk) { return stencil1_rowwise_program(bk, rod, physics); });
 
   // Identical physics, different schedules.
   std::cout << "temperature after " << n - 1 << " steps (sampled):\n  ";
   for (std::uint64_t x = n / 2 - 32; x <= n / 2 + 32; x += 16) {
     std::cout << "T[" << x << "]=" << Table::format_double(
-                     diamond.grid(n - 1, x))
+                     diamond.output(n - 1, x))
               << "  ";
   }
   std::cout << "\n  schedules agree: "
-            << (diamond.grid == rowwise.grid ? "yes" : "NO") << "\n\n";
+            << (diamond.output == rowwise.output ? "yes" : "NO") << "\n\n";
 
   Table t("Diamond decomposition vs row-wise schedule (same physics)",
           {"machine", "D diamond", "D row-wise", "row/diamond"});

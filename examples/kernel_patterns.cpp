@@ -27,9 +27,13 @@ int main() {
 
   // Sample-sort is the one kernel whose degrees follow the data: identical
   // superstep structure, different traffic on a duplicate-heavy input.
-  const auto random = samplesort_oblivious(workloads::random_keys(n, n));
-  const auto heavy =
-      samplesort_oblivious(workloads::duplicate_heavy_keys(n, n));
+  // run_program simulates the kernel's program directly, for one input.
+  const auto random_keys = workloads::random_keys(n, n);
+  const auto heavy_keys = workloads::duplicate_heavy_keys(n, n);
+  const auto random = run_program<std::uint64_t>(
+      n, [&](auto& bk) { return samplesort_program(bk, random_keys); });
+  const auto heavy = run_program<std::uint64_t>(
+      n, [&](auto& bk) { return samplesort_program(bk, heavy_keys); });
   Table t("static structure, data-dependent degrees (samplesort, n=64)",
           {"input", "supersteps", "messages", "H(p=8, sigma=0)"});
   t.row()

@@ -34,7 +34,9 @@ int main() {
     if (rng.below(100) == 0) s *= 50;  // stragglers
   }
 
-  const auto run = sort_oblivious(samples);
+  // run_program simulates Columnsort on M(n): sorted output plus trace.
+  const auto run = run_program<std::uint64_t>(
+      n, [&](auto& bk) { return sort_program(bk, samples); });
   auto pct = [&](double q) {
     return run.output[static_cast<std::size_t>(q * (n - 1))];
   };

@@ -37,12 +37,15 @@ int main() {
   }
 
   // Forward transform, low-pass mask, inverse transform — both directions
-  // run the same network-oblivious schedule.
-  auto spectrum = fft_oblivious(noisy);
+  // run the same network-oblivious schedule. run_program simulates each
+  // program on M(n) and returns its output with the recorded trace.
+  auto spectrum = run_program<C>(
+      n, [&](auto& bk) { return fft_program(bk, noisy); });
   constexpr std::uint64_t cutoff = 24;
   for (std::uint64_t k = cutoff; k < n - cutoff; ++k) spectrum.output[k] = 0;
 
-  const auto inverse = ifft_oblivious(spectrum.output);
+  const auto inverse = run_program<C>(
+      n, [&](auto& bk) { return ifft_program(bk, spectrum.output); });
   std::vector<double> filtered(n);
   for (std::uint64_t j = 0; j < n; ++j) {
     filtered[j] = inverse.output[j].real();

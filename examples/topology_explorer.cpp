@@ -50,8 +50,11 @@ int main() {
   std::vector<Entry> entries;
 
   {
-    const auto run = matmul_oblivious(random_matrix(64, 1), random_matrix(64, 2));
-    entries.push_back({"matmul n=4096", 4096, run.trace,
+    const auto a = random_matrix(64, 1);
+    const auto b = random_matrix(64, 2);
+    auto run = run_program<MatmulMsg<long>>(
+        4096, [&](auto& bk) { return matmul_program(bk, a, b); });
+    entries.push_back({"matmul n=4096", 4096, std::move(run.trace),
                        [](std::uint64_t n, std::uint64_t pp, double s) {
                          return lb::matmul(n, pp, s);
                        }});
@@ -60,7 +63,9 @@ int main() {
     Xoshiro256 rng(3);
     std::vector<std::complex<double>> x(4096);
     for (auto& v : x) v = {rng.unit(), rng.unit()};
-    entries.push_back({"fft n=4096", 4096, fft_oblivious(x).trace,
+    auto run = run_program<std::complex<double>>(
+        4096, [&](auto& bk) { return fft_program(bk, x); });
+    entries.push_back({"fft n=4096", 4096, std::move(run.trace),
                        [](std::uint64_t n, std::uint64_t pp, double s) {
                          return lb::fft(n, pp, s);
                        }});
@@ -69,7 +74,9 @@ int main() {
     Xoshiro256 rng(4);
     std::vector<std::uint64_t> keys(4096);
     for (auto& k : keys) k = rng.below(1ULL << 32);
-    entries.push_back({"sort n=4096", 4096, sort_oblivious(keys).trace,
+    auto run = run_program<std::uint64_t>(
+        4096, [&](auto& bk) { return sort_program(bk, keys); });
+    entries.push_back({"sort n=4096", 4096, std::move(run.trace),
                        [](std::uint64_t n, std::uint64_t pp, double s) {
                          return lb::sort(n, pp, s);
                        }});

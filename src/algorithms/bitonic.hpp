@@ -23,17 +23,11 @@
 #include <vector>
 
 #include "bsp/backend.hpp"
-#include "bsp/machine.hpp"
 #include "bsp/trace.hpp"
 #include "util/bits.hpp"
 #include "util/dep.hpp"
 
 namespace nobl {
-
-struct BitonicRun {
-  std::vector<std::uint64_t> output;
-  Trace trace;
-};
 
 /// The bitonic network as a program on any Backend with bk.v() == |keys|.
 /// Fully host-mirrored; returns the sorted keys. Value-generic: V is a
@@ -77,18 +71,6 @@ std::vector<V> bitonic_sort_program(Backend& bk, const std::vector<V>& keys) {
     }
   }
   return values;
-}
-
-/// Sort n = |keys| (power of two) keys on M(n) with the bitonic network.
-inline BitonicRun bitonic_sort_oblivious(
-    const std::vector<std::uint64_t>& keys, ExecutionPolicy policy = {}) {
-  const std::uint64_t n = keys.size();
-  if (!is_pow2(n)) {
-    throw std::invalid_argument("bitonic_sort: size must be a power of two");
-  }
-  SimulateBackend<std::uint64_t> bk(n, policy);
-  std::vector<std::uint64_t> output = bitonic_sort_program(bk, keys);
-  return BitonicRun{std::move(output), std::move(bk).take_trace()};
 }
 
 /// Closed form for the bitonic network's communication complexity:

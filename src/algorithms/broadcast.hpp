@@ -7,12 +7,13 @@
 //
 // A network-oblivious algorithm must fix its fanout (and therefore its
 // superstep count t) independently of σ; evaluating Eq. (7) at that fixed t
-// yields Theorem 4.16's GAP bound. We provide both algorithms:
+// yields Theorem 4.16's GAP bound. One program, broadcast_program, runs
+// both algorithms:
 //
-//   broadcast_aware(v, sigma)  — κ-ary tree, κ adapted to σ (the optimal
-//                                M(p,σ)-algorithm of §4.5);
-//   broadcast_oblivious(v, kappa) — fixed-fanout tree, the best a
-//                                network-oblivious design can commit to.
+//   κ = broadcast_aware_kappa(v, σ) — κ-ary tree, κ adapted to σ (the
+//                                     optimal M(p,σ)-algorithm of §4.5);
+//   fixed κ (2 is the natural choice) — the best a network-oblivious design
+//                                     can commit to.
 //
 // Both run on M(v) and label round i with i·log κ (messages of round i stay
 // inside the sender's i·log κ-cluster).
@@ -26,16 +27,10 @@
 
 #include "bsp/backend.hpp"
 #include "bsp/cost.hpp"
-#include "bsp/machine.hpp"
 #include "bsp/trace.hpp"
 #include "util/bits.hpp"
 
 namespace nobl {
-
-struct BroadcastRun {
-  std::vector<std::uint64_t> values;  ///< per-VP copy of V[0] on completion
-  Trace trace;
-};
 
 /// The κ-ary tree broadcast as a program on any Backend: in round i the
 /// holders (VPs at multiples of v/κ^i) forward to the κ evenly spaced
@@ -82,44 +77,15 @@ std::vector<V> broadcast_program(Backend& bk, std::uint64_t kappa, V value) {
   return values;
 }
 
-namespace broadcast_detail {
-
-inline BroadcastRun run_tree(std::uint64_t v, std::uint64_t kappa,
-                             std::uint64_t value,
-                             ExecutionPolicy policy = {}) {
-  if (!is_pow2(v) || !is_pow2(kappa) || kappa < 2) {
-    throw std::invalid_argument(
-        "broadcast: v and kappa must be powers of two, kappa >= 2");
-  }
-  SimulateBackend<std::uint64_t> bk(v, policy);
-  std::vector<std::uint64_t> values = broadcast_program(bk, kappa, value);
-  return BroadcastRun{std::move(values), std::move(bk).take_trace()};
-}
-
-}  // namespace broadcast_detail
-
-/// The σ-aware optimal broadcast: fanout κ = 2^⌈log₂ max{2,σ}⌉ (so the
-/// per-round cost κ-1+σ balances the round count log_κ p). Matches the
-/// Theorem 4.15 lower bound within a constant factor on M(v, σ).
-inline BroadcastRun broadcast_aware(std::uint64_t v, double sigma,
-                                    std::uint64_t value = 1,
-                                    ExecutionPolicy policy = {}) {
+/// The σ-aware optimal fanout κ = 2^⌈log₂ max{2,σ}⌉ (so the per-round cost
+/// κ-1+σ balances the round count log_κ p), clamped to [2, max{2,v}]. Fed to
+/// broadcast_program, it matches the Theorem 4.15 lower bound within a
+/// constant factor on M(v, σ).
+[[nodiscard]] inline std::uint64_t broadcast_aware_kappa(std::uint64_t v,
+                                                         double sigma) {
   const double base = sigma < 2.0 ? 2.0 : sigma;
-  std::uint64_t kappa = ceil_pow2(static_cast<std::uint64_t>(base));
-  if (kappa < 2) kappa = 2;
-  if (kappa > v) kappa = v;
-  if (v == 1) kappa = 2;
-  return broadcast_detail::run_tree(v, kappa, value, policy);
-}
-
-/// The network-oblivious broadcast: fanout fixed at design time (κ = 2 is
-/// the natural choice). Θ(1)-optimal only near the σ its fanout implicitly
-/// targets — Theorem 4.16 bounds the gap elsewhere.
-inline BroadcastRun broadcast_oblivious(std::uint64_t v,
-                                        std::uint64_t kappa = 2,
-                                        std::uint64_t value = 1,
-                                        ExecutionPolicy policy = {}) {
-  return broadcast_detail::run_tree(v, kappa, value, policy);
+  const std::uint64_t kappa = ceil_pow2(static_cast<std::uint64_t>(base));
+  return std::max<std::uint64_t>(2, std::min(kappa, v));
 }
 
 /// Measured GAP_A(n, p, σ1, σ2) of Theorem 4.16: the worst ratio, over a

@@ -27,16 +27,10 @@
 #include <vector>
 
 #include "bsp/backend.hpp"
-#include "bsp/machine.hpp"
 #include "bsp/trace.hpp"
 #include "util/bits.hpp"
 
 namespace nobl {
-
-struct FftRun {
-  std::vector<std::complex<double>> output;  ///< X[k] at index k
-  Trace trace;
-};
 
 /// Sequential reference DFT, O(n²): X[k] = Σ_j x[j]·e^{-2πi·jk/n}.
 [[nodiscard]] inline std::vector<std::complex<double>> dft_naive(
@@ -178,33 +172,20 @@ std::vector<V> fft_program(Backend& bk, const std::vector<V>& x,
   return values;
 }
 
-/// Compute the DFT of x (|x| a power of two) with the network-oblivious
-/// recursion on M(n).
-inline FftRun fft_oblivious(const std::vector<std::complex<double>>& x,
-                            bool wiseness_dummies = true,
-                            ExecutionPolicy policy = {}) {
-  const std::uint64_t n = x.size();
-  if (!is_pow2(n)) {
-    throw std::invalid_argument("fft_oblivious: size must be a power of two");
-  }
-  SimulateBackend<std::complex<double>> bk(n, policy);
-  std::vector<std::complex<double>> output =
-      fft_program(bk, x, wiseness_dummies);
-  return FftRun{std::move(output), std::move(bk).take_trace()};
-}
-
 /// Inverse DFT via the conjugation identity ifft(X) = conj(fft(conj(X)))/n —
 /// the inverse transform runs the same network-oblivious schedule (and so
 /// shares its trace structure and optimality properties).
-inline FftRun ifft_oblivious(const std::vector<std::complex<double>>& x,
-                             bool wiseness_dummies = true,
-                             ExecutionPolicy policy = {}) {
+template <typename Backend>
+std::vector<std::complex<double>> ifft_program(
+    Backend& bk, const std::vector<std::complex<double>>& x,
+    bool wiseness_dummies = true) {
   std::vector<std::complex<double>> conj_in(x.size());
   for (std::size_t k = 0; k < x.size(); ++k) conj_in[k] = std::conj(x[k]);
-  FftRun run = fft_oblivious(conj_in, wiseness_dummies, policy);
+  std::vector<std::complex<double>> output =
+      fft_program(bk, conj_in, wiseness_dummies);
   const double scale = 1.0 / static_cast<double>(x.size());
-  for (auto& v : run.output) v = std::conj(v) * scale;
-  return run;
+  for (auto& v : output) v = std::conj(v) * scale;
+  return output;
 }
 
 }  // namespace nobl

@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "bsp/backend.hpp"
-#include "bsp/machine.hpp"
 #include "bsp/trace.hpp"
 #include "util/bits.hpp"
 #include "util/matrix.hpp"
@@ -75,19 +74,17 @@ template <typename T>
 struct ProgramResult {
   Matrix<T> c;
   std::size_t peak_vp_entries = 0;
+
+  friend bool operator==(const ProgramResult&,
+                         const ProgramResult&) = default;
 };
 
 }  // namespace mm_detail
 
-/// Result of a specification-model n-MM run: the product, the communication
-/// trace, and the peak number of matrix entries resident at any VP (the
-/// memory blow-up audited in §4.1 vs. §4.1.1).
+/// The message payload matmul_program routes: simulate it with
+/// run_program<MatmulMsg<T>>.
 template <typename T>
-struct MatmulRun {
-  Matrix<T> c;
-  Trace trace;
-  std::size_t peak_vp_entries = 0;
-};
+using MatmulMsg = mm_detail::Msg<T>;
 
 /// The n-MM program on any Backend with bk.v() == m².
 template <typename T, typename Backend>
@@ -408,24 +405,6 @@ mm_detail::ProgramResult<T> matmul_program(Backend& bk, const Matrix<T>& a,
   }
 
   return mm_detail::ProgramResult<T>{std::move(c), peak_entries};
-}
-
-/// Multiply two m x m matrices (m a power of two) with the network-oblivious
-/// recursion on M(m²).
-template <typename T>
-MatmulRun<T> matmul_oblivious(const Matrix<T>& a, const Matrix<T>& b,
-                              bool wiseness_dummies = true,
-                              ExecutionPolicy policy = {}) {
-  const std::uint64_t m = a.rows();
-  if (a.cols() != m || b.rows() != m || b.cols() != m || !is_pow2(m)) {
-    throw std::invalid_argument(
-        "matmul_oblivious: matrices must be square with power-of-two side");
-  }
-  SimulateBackend<mm_detail::Msg<T>> bk(m * m, policy);
-  mm_detail::ProgramResult<T> result =
-      matmul_program(bk, a, b, wiseness_dummies);
-  return MatmulRun<T>{std::move(result.c), std::move(bk).take_trace(),
-                      result.peak_vp_entries};
 }
 
 }  // namespace nobl

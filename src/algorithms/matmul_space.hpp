@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "bsp/backend.hpp"
-#include "bsp/machine.hpp"
 #include "bsp/trace.hpp"
 #include "util/bits.hpp"
 #include "util/matrix.hpp"
@@ -61,12 +60,10 @@ inline constexpr std::array<std::array<Triple, 4>, 2> kRounds{{
 
 }  // namespace mms_detail
 
+/// The message payload matmul_space_program routes: simulate it with
+/// run_program<MatmulSpaceMsg<T>>.
 template <typename T>
-struct MatmulSpaceRun {
-  Matrix<T> c;
-  Trace trace;
-  std::size_t peak_vp_entries = 0;
-};
+using MatmulSpaceMsg = mms_detail::Msg<T>;
 
 /// Per-VP storage of the space-efficient recursion: the O(log n)-entry stack
 /// of the paper's analysis (constant storage per stack entry).
@@ -274,24 +271,6 @@ Matrix<T> matmul_space_program(Backend& bk, const Matrix<T>& a,
     if (st.acc[0].set) c(st.acc[0].i, st.acc[0].j) = st.acc[0].value;
   }
   return c;
-}
-
-/// Multiply two m x m matrices (m a power of two) with the space-efficient
-/// two-round recursion on M(m²).
-template <typename T>
-MatmulSpaceRun<T> matmul_space_oblivious(const Matrix<T>& a,
-                                         const Matrix<T>& b,
-                                         bool wiseness_dummies = true,
-                                         ExecutionPolicy policy = {}) {
-  const std::uint64_t m = a.rows();
-  if (a.cols() != m || b.rows() != m || b.cols() != m || !is_pow2(m)) {
-    throw std::invalid_argument(
-        "matmul_space_oblivious: matrices must be square, power-of-two side");
-  }
-  SimulateBackend<mms_detail::Msg<T>> bk(m * m, policy);
-  Matrix<T> c = matmul_space_program(bk, a, b, wiseness_dummies);
-  return MatmulSpaceRun<T>{std::move(c), std::move(bk).take_trace(),
-                           matmul_space_peak_entries(m * m)};
 }
 
 }  // namespace nobl

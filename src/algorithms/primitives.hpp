@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bsp/backend.hpp"
-#include "bsp/machine.hpp"
 #include "util/bits.hpp"
 
 namespace nobl {
@@ -178,21 +177,6 @@ void cyclic_shift(Backend& machine, std::span<T> values,
 // backend or accounting drift shows up as a ratio != 1.
 // ---------------------------------------------------------------------------
 
-struct ReduceRun {
-  std::uint64_t total = 0;  ///< the full-machine sum, resident at VP 0
-  Trace trace;
-};
-
-struct GatherRun {
-  std::vector<std::uint64_t> output;  ///< the gathered values, in VP order
-  Trace trace;
-};
-
-struct ShiftRun {
-  std::vector<std::uint64_t> output;  ///< values after the v/2 cyclic shift
-  Trace trace;
-};
-
 /// Tree reduction of the whole machine (the upsweep half of scan):
 /// H = log p · (1 + σ), exact at every fold. Value-generic over any
 /// additive V. Returns the total.
@@ -240,41 +224,6 @@ std::vector<V> shift_program(Backend& bk, const std::vector<V>& values) {
   std::vector<V> work = values;
   cyclic_shift(bk, std::span<V>(work), bk.v() / 2);
   return work;
-}
-
-/// Sum n = |values| (power of two) values on M(n) by tree reduction.
-inline ReduceRun reduce_oblivious(const std::vector<std::uint64_t>& values,
-                                  ExecutionPolicy policy = {}) {
-  if (!is_pow2(values.size())) {
-    throw std::invalid_argument(
-        "reduce_oblivious: size must be a power of two");
-  }
-  SimulateBackend<std::uint64_t> bk(values.size(), policy);
-  const std::uint64_t total = reduce_program(bk, values);
-  return ReduceRun{total, std::move(bk).take_trace()};
-}
-
-/// Gather n = |values| (power of two) values at VP 0 on M(n).
-inline GatherRun gather_oblivious(const std::vector<std::uint64_t>& values,
-                                  ExecutionPolicy policy = {}) {
-  if (!is_pow2(values.size())) {
-    throw std::invalid_argument(
-        "gather_oblivious: size must be a power of two");
-  }
-  SimulateBackend<std::uint64_t> bk(values.size(), policy);
-  std::vector<std::uint64_t> output = gather_program(bk, values);
-  return GatherRun{std::move(output), std::move(bk).take_trace()};
-}
-
-/// Cyclically shift n = |values| (power of two) values by n/2 on M(n).
-inline ShiftRun shift_oblivious(const std::vector<std::uint64_t>& values,
-                                ExecutionPolicy policy = {}) {
-  if (!is_pow2(values.size())) {
-    throw std::invalid_argument("shift_oblivious: size must be a power of two");
-  }
-  SimulateBackend<std::uint64_t> bk(values.size(), policy);
-  std::vector<std::uint64_t> output = shift_program(bk, values);
-  return ShiftRun{std::move(output), std::move(bk).take_trace()};
 }
 
 }  // namespace nobl

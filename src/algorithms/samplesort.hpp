@@ -40,17 +40,11 @@
 #include <vector>
 
 #include "bsp/backend.hpp"
-#include "bsp/machine.hpp"
 #include "bsp/trace.hpp"
 #include "util/bits.hpp"
 #include "util/dep.hpp"
 
 namespace nobl {
-
-struct SampleSortRun {
-  std::vector<std::uint64_t> output;  ///< globally sorted, index = rank
-  Trace trace;
-};
 
 /// Bucket count s = 2^⌊log n/2⌋ for an n-key run (n a power of two).
 [[nodiscard]] inline std::uint64_t samplesort_buckets(std::uint64_t n) {
@@ -244,19 +238,6 @@ std::vector<V> samplesort_program(Backend& bk, const std::vector<V>& keys) {
   }
 
   return output;
-}
-
-/// Sort n = |keys| (power of two) keys on M(n) by sample-sort.
-inline SampleSortRun samplesort_oblivious(
-    const std::vector<std::uint64_t>& keys, ExecutionPolicy policy = {}) {
-  const std::uint64_t n = keys.size();
-  if (!is_pow2(n)) {
-    throw std::invalid_argument(
-        "samplesort_oblivious: size must be a power of two");
-  }
-  SimulateBackend<std::uint64_t> bk(n, policy);
-  std::vector<std::uint64_t> output = samplesort_program(bk, keys);
-  return SampleSortRun{std::move(output), std::move(bk).take_trace()};
 }
 
 }  // namespace nobl

@@ -31,16 +31,10 @@
 #include <vector>
 
 #include "bsp/backend.hpp"
-#include "bsp/machine.hpp"
 #include "bsp/trace.hpp"
 #include "util/bits.hpp"
 
 namespace nobl {
-
-struct ScanRun {
-  std::vector<std::uint64_t> output;  ///< inclusive prefix sums, one per VP
-  Trace trace;
-};
 
 /// The scan program: inclusive prefix sums of n = bk.v() = |values| values,
 /// emitted onto any Backend (the schedule is fully host-mirrored, so every
@@ -104,18 +98,6 @@ std::vector<V> scan_program(Backend& bk, const std::vector<V>& values) {
   std::vector<V> output(n);
   for (std::uint64_t r = 0; r < n; ++r) output[r] = prefix[r] + values[r];
   return output;
-}
-
-/// Inclusive prefix sums of n = |values| (power of two) values on M(n).
-inline ScanRun scan_oblivious(const std::vector<std::uint64_t>& values,
-                              ExecutionPolicy policy = {}) {
-  const std::uint64_t n = values.size();
-  if (!is_pow2(n)) {
-    throw std::invalid_argument("scan_oblivious: size must be a power of two");
-  }
-  SimulateBackend<std::uint64_t> bk(n, policy);
-  std::vector<std::uint64_t> output = scan_program(bk, values);
-  return ScanRun{std::move(output), std::move(bk).take_trace()};
 }
 
 }  // namespace nobl

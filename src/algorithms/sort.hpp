@@ -36,17 +36,11 @@
 #include <vector>
 
 #include "bsp/backend.hpp"
-#include "bsp/machine.hpp"
 #include "bsp/trace.hpp"
 #include "util/bits.hpp"
 #include "util/dep.hpp"
 
 namespace nobl {
-
-struct SortRun {
-  std::vector<std::uint64_t> output;  ///< globally sorted, index = rank
-  Trace trace;
-};
 
 /// The recursive Columnsort program on any Backend with bk.v() == |keys|.
 /// Fully host-mirrored; returns the sorted keys. Value-generic: the base
@@ -150,19 +144,6 @@ std::vector<V> sort_program(Backend& bk, const std::vector<V>& keys,
 
   sort_rec(sort_rec, n);
   return values;
-}
-
-/// Sort n = |keys| (power of two) 62-bit keys on M(n).
-inline SortRun sort_oblivious(const std::vector<std::uint64_t>& keys,
-                              bool wiseness_dummies = true,
-                              ExecutionPolicy policy = {}) {
-  const std::uint64_t n = keys.size();
-  if (!is_pow2(n)) {
-    throw std::invalid_argument("sort_oblivious: size must be a power of two");
-  }
-  SimulateBackend<std::uint64_t> bk(n, policy);
-  std::vector<std::uint64_t> output = sort_program(bk, keys, wiseness_dummies);
-  return SortRun{std::move(output), std::move(bk).take_trace()};
 }
 
 }  // namespace nobl

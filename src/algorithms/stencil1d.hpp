@@ -38,7 +38,6 @@
 
 #include "algorithms/stencil_geometry.hpp"
 #include "bsp/backend.hpp"
-#include "bsp/machine.hpp"
 #include "bsp/trace.hpp"
 #include "util/matrix.hpp"
 
@@ -46,11 +45,6 @@ namespace nobl {
 
 /// The stencil update rule: next = f(left, center, right).
 using Stencil1Fn = std::function<double(double, double, double)>;
-
-struct Stencil1Run {
-  Matrix<double> grid;  ///< grid(t, x) = V(x, t); row 0 is the input
-  Trace trace;
-};
 
 /// The (n,1)-stencil program (diamond-decomposition schedule) on any
 /// Backend with bk.v() == |input|. Fully host-mirrored: the grid lives on
@@ -164,33 +158,20 @@ Matrix<V> stencil1_program(Backend& bk, const std::vector<V>& input,
   return grid;
 }
 
-/// Evaluate the (n,1)-stencil with the diamond-decomposition schedule.
-/// k_override != 0 substitutes the recursion width k (ablation hook).
-inline Stencil1Run stencil1_oblivious(const std::vector<double>& input,
-                                      const Stencil1Fn& f,
-                                      bool wiseness_dummies = true,
-                                      std::uint64_t k_override = 0,
-                                      ExecutionPolicy policy = {}) {
+/// The natural parameter-unaware baseline, as a program on any Backend with
+/// bk.v() == |input| >= 2: VP x owns grid column x and the computation
+/// advances one time row per 0-superstep (n−1 supersteps of degree 2).
+/// Latency-dominated machines pay Θ(n·σ) here — the contrast the diamond
+/// schedule exists to avoid. Returns the evaluated space-time grid.
+template <typename Backend>
+Matrix<double> stencil1_rowwise_program(Backend& bk,
+                                        const std::vector<double>& input,
+                                        const Stencil1Fn& f) {
   const std::uint64_t n = input.size();
-  (void)DiamondSchedule(n, k_override);  // validate n before machine creation
-  SimulateBackend<double> bk(n, policy);
-  Matrix<double> grid = stencil1_program(bk, input, f, wiseness_dummies,
-                                         k_override);
-  return Stencil1Run{std::move(grid), std::move(bk).take_trace()};
-}
-
-/// The natural parameter-unaware baseline: VP x owns grid column x and the
-/// computation advances one time row per 0-superstep (n−1 supersteps of
-/// degree 2). Latency-dominated machines pay Θ(n·σ) here — the contrast the
-/// diamond schedule exists to avoid.
-inline Stencil1Run stencil1_rowwise(const std::vector<double>& input,
-                                    const Stencil1Fn& f,
-                                    ExecutionPolicy policy = {}) {
-  const std::uint64_t n = input.size();
-  if (!is_pow2(n) || n < 2) {
-    throw std::invalid_argument("stencil1_rowwise: n must be a power of two");
+  if (n != bk.v() || n < 2) {
+    throw std::invalid_argument(
+        "stencil1_rowwise_program: one column per VP, n >= 2 required");
   }
-  SimulateBackend<double> bk(n, policy);
   Matrix<double> grid(n, n, 0.0);
   for (std::uint64_t x = 0; x < n; ++x) grid(0, x) = input[x];
 
@@ -207,7 +188,7 @@ inline Stencil1Run stencil1_rowwise(const std::vector<double>& input,
       if (vp.id() + 1 < n) vp.send(vp.id() + 1, grid(t, vp.id()));
     });
   }
-  return Stencil1Run{std::move(grid), std::move(bk).take_trace()};
+  return grid;
 }
 
 /// Sequential reference evaluation.

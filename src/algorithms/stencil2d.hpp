@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "bsp/backend.hpp"
-#include "bsp/machine.hpp"
 #include "bsp/trace.hpp"
 #include "util/bits.hpp"
 #include "util/matrix.hpp"
@@ -74,12 +73,6 @@ using Stencil2Fn = std::function<double(const std::array<double, 9>&)>;
 /// Stage count of the Bilardi–Preparata cover of the cube: the 17 full or
 /// truncated octahedra/tetrahedra every (n,2)-stencil run iterates.
 inline constexpr std::uint64_t kStencil2Stages = 17;
-
-struct Stencil2Run {
-  Trace trace;
-  std::uint64_t stages = 0;
-  std::vector<std::uint64_t> radices;  ///< per-level segment split factors
-};
 
 /// The (n,2)-stencil schedule program on any Backend with bk.v() == n².
 /// Returns the per-level split factors (the trace lives on the backend).
@@ -151,22 +144,6 @@ std::vector<std::uint64_t> stencil2_program(Backend& bk, std::uint64_t n,
     run_level(run_level, 1);
   }
   return radices;
-}
-
-/// Generate the (n,2)-stencil schedule on M(n²) and return its trace.
-/// k_override substitutes the recursion width (ablation hook).
-inline Stencil2Run stencil2_oblivious_schedule(std::uint64_t n,
-                                               bool wiseness_dummies = true,
-                                               std::uint64_t k_override = 0,
-                                               ExecutionPolicy policy = {}) {
-  if (!is_pow2(n) || n < 2) {
-    throw std::invalid_argument(
-        "stencil2_oblivious_schedule: n must be a power of two >= 2");
-  }
-  SimulateBackend<std::uint8_t> bk(n * n, policy);
-  std::vector<std::uint64_t> radices =
-      stencil2_program(bk, n, wiseness_dummies, k_override);
-  return Stencil2Run{std::move(bk).take_trace(), kStencil2Stages, std::move(radices)};
 }
 
 }  // namespace nobl

@@ -34,18 +34,11 @@
 #include <vector>
 
 #include "bsp/backend.hpp"
-#include "bsp/machine.hpp"
 #include "bsp/trace.hpp"
 #include "util/bits.hpp"
 #include "util/matrix.hpp"
 
 namespace nobl {
-
-template <typename T>
-struct TransposeRun {
-  Matrix<T> output;  ///< the transposed matrix
-  Trace trace;
-};
 
 /// The transpose program on any Backend with bk.v() == m²: recursive block
 /// decomposition, one superstep per depth. Returns the transposed matrix
@@ -86,24 +79,6 @@ Matrix<T> transpose_program(Backend& bk, const Matrix<T>& a) {
   Matrix<T> out(m, m);
   out.data() = std::move(values);
   return out;
-}
-
-/// Transpose a square m x m matrix (m a power of two) on M(m²).
-template <typename T>
-TransposeRun<T> transpose_oblivious(const Matrix<T>& a,
-                                    ExecutionPolicy policy = {}) {
-  const std::uint64_t m = a.rows();
-  if (m == 0 || a.cols() != m) {
-    throw std::invalid_argument("transpose_oblivious: matrix must be square "
-                                "and non-empty");
-  }
-  if (!is_pow2(m)) {
-    throw std::invalid_argument(
-        "transpose_oblivious: side must be a power of two");
-  }
-  SimulateBackend<T> bk(m * m, policy);
-  Matrix<T> out = transpose_program(bk, a);
-  return TransposeRun<T>{std::move(out), std::move(bk).take_trace()};
 }
 
 }  // namespace nobl

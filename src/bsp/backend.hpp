@@ -27,8 +27,8 @@
 //
 //   SimulateBackend<Payload> — the full M(v) simulator (bsp/machine.hpp),
 //     sequential or parallel engine, payload routing, inboxes, peak-inbox
-//     audit. This *is* Machine<Payload>: the historical entry points keep
-//     working, and the golden/equivalence suites pin bit-identity.
+//     audit. This *is* Machine<Payload>; run_program runs a program on it
+//     and hands back the program's output with the trace.
 //     vp.inbox() and bk.inbox(r) return a std::span<const Message<Payload>>
 //     over the simulator's flat mail array, valid until the next sync.
 //
@@ -103,8 +103,8 @@ class TraceWriter;
 
 /// How to execute one specification-model run: which backend interprets the
 /// program, and (for the simulating backend) which engine drives VP bodies.
-/// Implicitly constructible from an ExecutionPolicy so historical
-/// `runner(n, policy)` call sites keep reading naturally.
+/// Implicitly constructible from an ExecutionPolicy, so `runner(n, policy)`
+/// runs the simulator under that engine.
 struct RunOptions {
   ExecutionPolicy policy{};
   BackendKind backend = BackendKind::kSimulate;
@@ -333,6 +333,40 @@ class RecordBackend : public CostBackend {
   Schedule schedule_;
 };
 
+/// What run_program hands back: the program's return value and the trace
+/// the simulator recorded.
+template <typename Output>
+struct ProgramRun {
+  Output output;
+  Trace trace;
+};
+
+/// A program that returns nothing leaves only its trace.
+template <>
+struct ProgramRun<void> {
+  Trace trace;
+};
+
+/// Run `program` (a callable taking `auto& backend`, typically a lambda
+/// calling a kernel's `*_program`) on the simulator SimulateBackend<Payload>
+/// of v VPs under `policy`, and return its output with the trace moved out.
+/// v must be a power of two (std::invalid_argument otherwise, from the
+/// backend).
+template <typename Payload, typename ProgramFn>
+[[nodiscard]] auto run_program(std::uint64_t v, ProgramFn&& program,
+                               ExecutionPolicy policy = {}) {
+  SimulateBackend<Payload> backend(v, policy);
+  using Output = std::invoke_result_t<ProgramFn&, SimulateBackend<Payload>&>;
+  if constexpr (std::is_void_v<Output>) {
+    program(backend);
+    return ProgramRun<void>{std::move(backend).take_trace()};
+  } else {
+    Output output = program(backend);
+    return ProgramRun<Output>{std::move(output),
+                              std::move(backend).take_trace()};
+  }
+}
+
 /// Run `program` (a callable taking `auto& backend`) on a machine of v VPs
 /// under the selected backend and return the recorded trace. The record
 /// backend returns the trace re-derived from its Schedule, so every
@@ -366,11 +400,8 @@ template <typename Payload, typename ProgramFn>
           v, options.dist, options.measure, options.capture,
           [&program](dist::DistributedBackend& backend) { program(backend); });
     case BackendKind::kSimulate:
-    default: {
-      SimulateBackend<Payload> backend(v, options.policy);
-      program(backend);
-      return std::move(backend).take_trace();
-    }
+    default:
+      return run_program<Payload>(v, program, options.policy).trace;
   }
 }
 

@@ -28,8 +28,8 @@ struct AlgoRun {
 
 /// Executes one specification-model run of size n under the selected
 /// backend and engine (bsp/backend.hpp::RunOptions) and returns its trace.
-/// RunOptions converts implicitly from an ExecutionPolicy, so historical
-/// `runner(n, policy)` call sites read unchanged.
+/// RunOptions converts implicitly from an ExecutionPolicy, so
+/// `runner(n, policy)` runs the simulator under that engine.
 using PolicyRunner =
     std::function<Trace(std::uint64_t n, const RunOptions& options)>;
 

@@ -131,7 +131,7 @@ AlgoRegistry::AlgoRegistry() {
              const std::uint64_t m = sqrt_pow2(n);
              const auto a = random_matrix(m, m);
              const auto b = random_matrix(m, m + 1);
-             return run_for_trace<mm_detail::Msg<long>>(
+             return run_for_trace<MatmulMsg<long>>(
                  n, options,
                  [&](auto& bk) { (void)matmul_program(bk, a, b, true); });
            },
@@ -154,7 +154,7 @@ AlgoRegistry::AlgoRegistry() {
              const std::uint64_t m = sqrt_pow2(n);
              const auto a = random_matrix(m, m);
              const auto b = random_matrix(m, m + 1);
-             return run_for_trace<mms_detail::Msg<long>>(
+             return run_for_trace<MatmulSpaceMsg<long>>(
                  n, options,
                  [&](auto& bk) { (void)matmul_space_program(bk, a, b, true); });
            },

@@ -28,7 +28,8 @@ TEST_P(BitonicCorrectness, SortsRandomKeys) {
   const std::uint64_t n = GetParam();
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     auto keys = random_keys(n, seed + n);
-    const auto run = bitonic_sort_oblivious(keys);
+    const auto run = run_program<std::uint64_t>(
+        n, [&](auto& bk) { return bitonic_sort_program(bk, keys); });
     std::sort(keys.begin(), keys.end());
     EXPECT_EQ(run.output, keys) << "n=" << n << " seed=" << seed;
   }
@@ -41,20 +42,28 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BitonicCorrectness,
 TEST(Bitonic, AdversarialPatterns) {
   std::vector<std::uint64_t> asc(256);
   std::iota(asc.begin(), asc.end(), 0u);
-  EXPECT_EQ(bitonic_sort_oblivious(asc).output, asc);
   std::vector<std::uint64_t> desc(asc.rbegin(), asc.rend());
-  EXPECT_EQ(bitonic_sort_oblivious(desc).output, asc);
   std::vector<std::uint64_t> same(256, 9);
-  EXPECT_EQ(bitonic_sort_oblivious(same).output, same);
+  for (const auto* keys : {&asc, &desc, &same}) {
+    auto want = *keys;
+    std::sort(want.begin(), want.end());
+    const auto run = run_program<std::uint64_t>(
+        256, [&](auto& bk) { return bitonic_sort_program(bk, *keys); });
+    EXPECT_EQ(run.output, want);
+  }
 }
 
 TEST(Bitonic, StageCountIsQuadraticInLogN) {
-  const auto run = bitonic_sort_oblivious(random_keys(1024, 1));
+  const auto keys = random_keys(1024, 1);
+  const auto run = run_program<std::uint64_t>(
+      1024, [&](auto& bk) { return bitonic_sort_program(bk, keys); });
   EXPECT_EQ(run.trace.supersteps(), 10u * 11u / 2u);
 }
 
 TEST(Bitonic, EveryStageIsAOneRelation) {
-  const auto run = bitonic_sort_oblivious(random_keys(256, 2));
+  const auto keys = random_keys(256, 2);
+  const auto run = run_program<std::uint64_t>(
+      256, [&](auto& bk) { return bitonic_sort_program(bk, keys); });
   for (const auto& s : run.trace.steps()) {
     EXPECT_EQ(s.degree[run.trace.log_v()], 1u);
   }
@@ -62,7 +71,9 @@ TEST(Bitonic, EveryStageIsAOneRelation) {
 
 TEST(Bitonic, MeasuredHMatchesClosedFormExactly) {
   const std::uint64_t n = 1024;
-  const auto run = bitonic_sort_oblivious(random_keys(n, 3));
+  const auto keys = random_keys(n, 3);
+  const auto run = run_program<std::uint64_t>(
+      n, [&](auto& bk) { return bitonic_sort_program(bk, keys); });
   for (const std::uint64_t p : {2u, 16u, 256u, 1024u}) {
     for (const double sigma : {0.0, 4.0}) {
       EXPECT_DOUBLE_EQ(
@@ -82,8 +93,11 @@ TEST(Bitonic, ConstantsVsAsymptotics) {
   // tends to 1 while bitonic keeps its ~(log p · (log p+1)/2) stages —
   // checked on the formulas at n = 2^12 vs n = 2^40.
   const std::uint64_t n = 4096;
-  const auto bit = bitonic_sort_oblivious(random_keys(n, 4));
-  const auto col = sort_oblivious(random_keys(n, 4));
+  const auto keys = random_keys(n, 4);
+  const auto bit = run_program<std::uint64_t>(
+      n, [&](auto& bk) { return bitonic_sort_program(bk, keys); });
+  const auto col = run_program<std::uint64_t>(
+      n, [&](auto& bk) { return sort_program(bk, keys); });
   const double hb = communication_complexity(bit.trace, 6, 0.0);
   const double hc = communication_complexity(col.trace, 6, 0.0);
   EXPECT_LT(hb, hc);  // constants win at practical sizes
@@ -96,7 +110,9 @@ TEST(Bitonic, ConstantsVsAsymptotics) {
 }
 
 TEST(Bitonic, WiseAtEveryFold) {
-  const auto run = bitonic_sort_oblivious(random_keys(256, 6));
+  const auto keys = random_keys(256, 6);
+  const auto run = run_program<std::uint64_t>(
+      256, [&](auto& bk) { return bitonic_sort_program(bk, keys); });
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); ++log_p) {
     EXPECT_GE(wiseness_alpha(run.trace, log_p), 0.5) << log_p;
     EXPECT_TRUE(folding_inequality_holds(run.trace, log_p));
@@ -104,7 +120,9 @@ TEST(Bitonic, WiseAtEveryFold) {
 }
 
 TEST(Bitonic, Validation) {
-  EXPECT_THROW(bitonic_sort_oblivious(std::vector<std::uint64_t>(3)),
+  const std::vector<std::uint64_t> keys(3);
+  auto sort = [&](auto& bk) { return bitonic_sort_program(bk, keys); };
+  EXPECT_THROW((void)run_program<std::uint64_t>(3, sort),
                std::invalid_argument);
   EXPECT_THROW((void)bitonic_predicted(64, 128, 0.0), std::invalid_argument);
   EXPECT_THROW((void)bitonic_predicted(63, 8, 0.0), std::invalid_argument);

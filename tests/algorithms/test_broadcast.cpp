@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/lower_bounds.hpp"
 #include "core/predictions.hpp"
 
 namespace nobl {
 namespace {
 
-void expect_all_received(const BroadcastRun& run, std::uint64_t value) {
-  for (std::size_t r = 0; r < run.values.size(); ++r) {
-    EXPECT_EQ(run.values[r], value) << "VP " << r;
+void expect_all_received(const std::vector<std::uint64_t>& values,
+                         std::uint64_t value) {
+  for (std::size_t r = 0; r < values.size(); ++r) {
+    EXPECT_EQ(values[r], value) << "VP " << r;
   }
 }
 
@@ -19,14 +22,20 @@ class BroadcastSweep
 
 TEST_P(BroadcastSweep, AwareDeliversEverywhere) {
   const auto [v, sigma] = GetParam();
-  const auto run = broadcast_aware(v, sigma, 77);
-  expect_all_received(run, 77);
+  const std::uint64_t kappa = broadcast_aware_kappa(v, sigma);
+  const auto run = run_program<std::uint64_t>(v, [&](auto& bk) {
+    return broadcast_program(bk, kappa, std::uint64_t{77});
+  });
+  expect_all_received(run.output, 77);
 }
 
 TEST_P(BroadcastSweep, AwareMeetsTheorem415Bound) {
   const auto [v, sigma] = GetParam();
   if (v < 2) return;
-  const auto run = broadcast_aware(v, sigma, 1);
+  const std::uint64_t kappa = broadcast_aware_kappa(v, sigma);
+  const auto run = run_program<std::uint64_t>(v, [&](auto& bk) {
+    return broadcast_program(bk, kappa, std::uint64_t{1});
+  });
   const double h =
       communication_complexity(run.trace, run.trace.log_v(), sigma);
   EXPECT_LE(h, 8.0 * lb::broadcast(v, sigma)) << "v=" << v << " s=" << sigma;
@@ -39,14 +48,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Broadcast, ObliviousDeliversEverywhere) {
   for (const std::uint64_t kappa : {2u, 4u, 16u}) {
-    const auto run = broadcast_oblivious(1024, kappa, 5);
-    expect_all_received(run, 5);
+    const auto run = run_program<std::uint64_t>(1024, [&](auto& bk) {
+      return broadcast_program(bk, kappa, std::uint64_t{5});
+    });
+    expect_all_received(run.output, 5);
   }
 }
 
 TEST(Broadcast, ObliviousMatchesClosedForm) {
   // H of the fixed-fanout tree = (κ-1+σ)·log_κ p exactly (unit messages).
-  const auto run = broadcast_oblivious(1024, 2);
+  const auto run = run_program<std::uint64_t>(1024, [&](auto& bk) {
+    return broadcast_program(bk, 2, std::uint64_t{1});
+  });
   for (const double sigma : {0.0, 8.0, 64.0}) {
     const double h =
         communication_complexity(run.trace, run.trace.log_v(), sigma);
@@ -59,8 +72,13 @@ TEST(Broadcast, AwareBeatsObliviousAtLargeSigma) {
   // log₂p·σ while the aware algorithm pays ~σ·log_σ p.
   const std::uint64_t v = 4096;
   const double sigma = 512.0;
-  const auto aware = broadcast_aware(v, sigma);
-  const auto oblivious = broadcast_oblivious(v, 2);
+  const std::uint64_t kappa = broadcast_aware_kappa(v, sigma);
+  const auto aware = run_program<std::uint64_t>(v, [&](auto& bk) {
+    return broadcast_program(bk, kappa, std::uint64_t{1});
+  });
+  const auto oblivious = run_program<std::uint64_t>(v, [&](auto& bk) {
+    return broadcast_program(bk, 2, std::uint64_t{1});
+  });
   const double h_aware =
       communication_complexity(aware.trace, aware.trace.log_v(), sigma);
   const double h_obl = communication_complexity(
@@ -70,7 +88,9 @@ TEST(Broadcast, AwareBeatsObliviousAtLargeSigma) {
 
 TEST(Broadcast, GapGrowsWithSigmaRange) {
   // Theorem 4.16: any oblivious algorithm's GAP grows with σ2.
-  const auto run = broadcast_oblivious(4096, 2);
+  const auto run = run_program<std::uint64_t>(4096, [&](auto& bk) {
+    return broadcast_program(bk, 2, std::uint64_t{1});
+  });
   const unsigned log_p = run.trace.log_v();
   const double gap_small = broadcast_gap_measured(run.trace, log_p, 0, 4);
   const double gap_large =
@@ -82,15 +102,22 @@ TEST(Broadcast, GapGrowsWithSigmaRange) {
 }
 
 TEST(Broadcast, SuperstepCountMatchesKappa) {
-  EXPECT_EQ(broadcast_oblivious(1024, 2).trace.supersteps(), 10u);
-  EXPECT_EQ(broadcast_oblivious(1024, 32).trace.supersteps(), 2u);
   // Aware: κ = 2^⌈log σ⌉ = 32 at σ = 20 -> 2 rounds on p = 1024.
-  EXPECT_EQ(broadcast_aware(1024, 20.0).trace.supersteps(), 2u);
-  EXPECT_EQ(broadcast_aware(1024, 0.0).trace.supersteps(), 10u);
+  EXPECT_EQ(broadcast_aware_kappa(1024, 20.0), 32u);
+  EXPECT_EQ(broadcast_aware_kappa(1024, 0.0), 2u);
+  for (const auto& [kappa, rounds] :
+       {std::pair<std::uint64_t, std::uint64_t>{2, 10}, {32, 2}}) {
+    const auto run = run_program<std::uint64_t>(1024, [&](auto& bk) {
+      return broadcast_program(bk, kappa, std::uint64_t{1});
+    });
+    EXPECT_EQ(run.trace.supersteps(), rounds) << "kappa=" << kappa;
+  }
 }
 
 TEST(Broadcast, LabelsTrackShrinkingClusters) {
-  const auto run = broadcast_oblivious(64, 2);
+  const auto run = run_program<std::uint64_t>(64, [&](auto& bk) {
+    return broadcast_program(bk, 2, std::uint64_t{1});
+  });
   unsigned expected = 0;
   for (const auto& s : run.trace.steps()) {
     EXPECT_EQ(s.label, expected);
@@ -99,16 +126,26 @@ TEST(Broadcast, LabelsTrackShrinkingClusters) {
 }
 
 TEST(Broadcast, Validation) {
-  EXPECT_THROW(broadcast_oblivious(24, 2), std::invalid_argument);
-  EXPECT_THROW(broadcast_oblivious(16, 3), std::invalid_argument);
+  for (const auto& [v, kappa] :
+       {std::pair<std::uint64_t, std::uint64_t>{24, 2}, {16, 3}}) {
+    auto broadcast = [&](auto& bk) {
+      return broadcast_program(bk, kappa, std::uint64_t{1});
+    };
+    EXPECT_THROW((void)run_program<std::uint64_t>(v, broadcast),
+                 std::invalid_argument)
+        << "v=" << v << " kappa=" << kappa;
+  }
   EXPECT_THROW((void)broadcast_gap_measured(Trace(3), 3, 8, 4),
                std::invalid_argument);
 }
 
 TEST(Broadcast, TrivialMachine) {
-  const auto run = broadcast_aware(1, 10.0, 9);
-  EXPECT_EQ(run.values.size(), 1u);
-  EXPECT_EQ(run.values[0], 9u);
+  const std::uint64_t kappa = broadcast_aware_kappa(1, 10.0);
+  const auto run = run_program<std::uint64_t>(1, [&](auto& bk) {
+    return broadcast_program(bk, kappa, std::uint64_t{9});
+  });
+  EXPECT_EQ(run.output.size(), 1u);
+  EXPECT_EQ(run.output[0], 9u);
   EXPECT_EQ(run.trace.supersteps(), 1u);
 }
 

@@ -35,7 +35,8 @@ class FftCorrectness : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(FftCorrectness, MatchesNaiveDft) {
   const std::uint64_t n = GetParam();
   const auto x = random_signal(n, n);
-  const auto run = fft_oblivious(x);
+  const auto run = run_program<std::complex<double>>(
+      n, [&](auto& bk) { return fft_program(bk, x); });
   expect_close(run.output, dft_naive(x), 1e-8 * static_cast<double>(n));
 }
 
@@ -46,7 +47,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FftCorrectness,
 TEST(Fft, ImpulseGivesFlatSpectrum) {
   std::vector<std::complex<double>> x(64, 0.0);
   x[0] = 1.0;
-  const auto run = fft_oblivious(x);
+  const auto run = run_program<std::complex<double>>(
+      64, [&](auto& bk) { return fft_program(bk, x); });
   for (const auto& v : run.output) {
     EXPECT_NEAR(v.real(), 1.0, 1e-12);
     EXPECT_NEAR(v.imag(), 0.0, 1e-12);
@@ -62,7 +64,8 @@ TEST(Fft, SingleToneConcentrates) {
         static_cast<double>(n);
     x[j] = std::polar(1.0, angle);
   }
-  const auto run = fft_oblivious(x);
+  const auto run = run_program<std::complex<double>>(
+      n, [&](auto& bk) { return fft_program(bk, x); });
   for (std::uint64_t k = 0; k < n; ++k) {
     const double expected = k == tone ? static_cast<double>(n) : 0.0;
     EXPECT_NEAR(std::abs(run.output[k]), expected, 1e-8) << "k=" << k;
@@ -71,14 +74,18 @@ TEST(Fft, SingleToneConcentrates) {
 
 TEST(Fft, SuperstepCountIsLogarithmic) {
   // S(n) = 2·S(√n) + 3 = Θ(log n).
-  const auto run = fft_oblivious(random_signal(1024, 1));
+  const auto x = random_signal(1024, 1);
+  const auto run = run_program<std::complex<double>>(
+      1024, [&](auto& bk) { return fft_program(bk, x); });
   EXPECT_LE(run.trace.supersteps(), 4u * 10u);
   EXPECT_GE(run.trace.supersteps(), 10u);
 }
 
 TEST(Fft, CommunicationMatchesTheorem45) {
   const std::uint64_t n = 1024;
-  const auto run = fft_oblivious(random_signal(n, 2));
+  const auto x = random_signal(n, 2);
+  const auto run = run_program<std::complex<double>>(
+      n, [&](auto& bk) { return fft_program(bk, x); });
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); ++log_p) {
     const std::uint64_t p = 1ULL << log_p;
     for (const double sigma : {0.0, 2.0, 32.0}) {
@@ -93,7 +100,9 @@ TEST(Fft, CommunicationMatchesTheorem45) {
 
 TEST(Fft, OptimalAgainstLemma44) {
   const std::uint64_t n = 4096;
-  const auto run = fft_oblivious(random_signal(n, 3));
+  const auto x = random_signal(n, 3);
+  const auto run = run_program<std::complex<double>>(
+      n, [&](auto& bk) { return fft_program(bk, x); });
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); ++log_p) {
     const double h = communication_complexity(run.trace, log_p, 0.0);
     EXPECT_LE(h, 15.0 * lb::fft(n, 1ULL << log_p, 0.0)) << "log_p=" << log_p;
@@ -101,7 +110,9 @@ TEST(Fft, OptimalAgainstLemma44) {
 }
 
 TEST(Fft, WiseAtEveryFold) {
-  const auto run = fft_oblivious(random_signal(256, 4));
+  const auto x = random_signal(256, 4);
+  const auto run = run_program<std::complex<double>>(
+      256, [&](auto& bk) { return fft_program(bk, x); });
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); ++log_p) {
     EXPECT_GE(wiseness_alpha(run.trace, log_p), 0.2) << "log_p=" << log_p;
     EXPECT_TRUE(folding_inequality_holds(run.trace, log_p));
@@ -110,15 +121,19 @@ TEST(Fft, WiseAtEveryFold) {
 
 TEST(Fft, DummiesDoNotChangeOutput) {
   const auto x = random_signal(128, 5);
-  expect_close(fft_oblivious(x, true).output, fft_oblivious(x, false).output,
-               1e-12);
+  const auto with = run_program<std::complex<double>>(
+      128, [&](auto& bk) { return fft_program(bk, x, true); });
+  const auto without = run_program<std::complex<double>>(
+      128, [&](auto& bk) { return fft_program(bk, x, false); });
+  expect_close(with.output, without.output, 1e-12);
 }
 
 TEST(Fft, InverseRoundTrip) {
   for (const std::uint64_t n : {2u, 16u, 128u, 1024u}) {
     const auto x = random_signal(n, n + 3);
-    const auto spectrum = fft_oblivious(x);
-    const auto back = ifft_oblivious(spectrum.output);
+    const auto back = run_program<std::complex<double>>(n, [&](auto& bk) {
+      return ifft_program(bk, fft_program(bk, x));
+    });
     expect_close(back.output, x, 1e-9 * static_cast<double>(n));
   }
 }
@@ -130,22 +145,26 @@ TEST(Fft, LinearityOfTheTransform) {
   std::vector<std::complex<double>> combo(n);
   const std::complex<double> ca(2.0, -1.0), cb(0.5, 3.0);
   for (std::uint64_t j = 0; j < n; ++j) combo[j] = ca * a[j] + cb * b[j];
-  const auto fa = fft_oblivious(a).output;
-  const auto fb = fft_oblivious(b).output;
-  const auto fc = fft_oblivious(combo).output;
+  const auto fa = run_program<std::complex<double>>(
+      n, [&](auto& bk) { return fft_program(bk, a); });
+  const auto fb = run_program<std::complex<double>>(
+      n, [&](auto& bk) { return fft_program(bk, b); });
+  const auto fc = run_program<std::complex<double>>(
+      n, [&](auto& bk) { return fft_program(bk, combo); });
   for (std::uint64_t k = 0; k < n; ++k) {
-    const auto expected = ca * fa[k] + cb * fb[k];
-    EXPECT_NEAR(std::abs(fc[k] - expected), 0.0, 1e-9);
+    const auto expected = ca * fa.output[k] + cb * fb.output[k];
+    EXPECT_NEAR(std::abs(fc.output[k] - expected), 0.0, 1e-9);
   }
 }
 
 TEST(Fft, ParsevalEnergyConservation) {
   const std::uint64_t n = 512;
   const auto x = random_signal(n, 23);
-  const auto spectrum = fft_oblivious(x).output;
+  const auto spectrum = run_program<std::complex<double>>(
+      n, [&](auto& bk) { return fft_program(bk, x); });
   double time_energy = 0, freq_energy = 0;
   for (const auto& v : x) time_energy += std::norm(v);
-  for (const auto& v : spectrum) freq_energy += std::norm(v);
+  for (const auto& v : spectrum.output) freq_energy += std::norm(v);
   EXPECT_NEAR(freq_energy, time_energy * static_cast<double>(n),
               1e-7 * time_energy * static_cast<double>(n));
 }
@@ -153,7 +172,9 @@ TEST(Fft, ParsevalEnergyConservation) {
 TEST(Fft, LabelsFollowRecursiveStructure) {
   // Top-level supersteps carry label 0; level-1 segments of √n VPs carry
   // label log n / 2 (n a power of 4).
-  const auto run = fft_oblivious(random_signal(256, 6));
+  const auto x = random_signal(256, 6);
+  const auto run = run_program<std::complex<double>>(
+      256, [&](auto& bk) { return fft_program(bk, x); });
   EXPECT_EQ(run.trace.S(0), 3u);  // three top-level transposes
   EXPECT_GT(run.trace.S(4), 0u);  // √256 = 16-VP segments -> label 4
 }

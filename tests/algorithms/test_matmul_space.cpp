@@ -31,8 +31,9 @@ TEST_P(MatmulSpaceCorrectness, MatchesNaiveProduct) {
   const std::uint64_t m = GetParam();
   const Matrix<long> a = random_matrix(m, 3 * m);
   const Matrix<long> b = random_matrix(m, 3 * m + 1);
-  const auto run = matmul_space_oblivious(a, b);
-  EXPECT_EQ(run.c, multiply_naive(a, b)) << "m=" << m;
+  const auto run = run_program<MatmulSpaceMsg<long>>(
+      m * m, [&](auto& bk) { return matmul_space_program(bk, a, b); });
+  EXPECT_EQ(run.output, multiply_naive(a, b)) << "m=" << m;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sides, MatmulSpaceCorrectness,
@@ -40,23 +41,23 @@ INSTANTIATE_TEST_SUITE_P(Sides, MatmulSpaceCorrectness,
 
 TEST(MatmulSpace, RejectsBadShapes) {
   Matrix<long> a(6, 6), b(6, 6);
-  EXPECT_THROW(matmul_space_oblivious(a, b), std::invalid_argument);
+  auto matmul = [&](auto& bk) { return matmul_space_program(bk, a, b); };
+  EXPECT_THROW((void)run_program<MatmulSpaceMsg<long>>(36, matmul),
+               std::invalid_argument);
 }
 
 TEST(MatmulSpace, ConstantBlowupPerLevelStack) {
   // §4.1.1: O(1) matrix entries per VP plus an O(log n) recursion stack of
   // constant-size records. Our audit counts the full stack.
-  const auto run16 =
-      matmul_space_oblivious(random_matrix(16, 1), random_matrix(16, 2));
-  const auto run32 =
-      matmul_space_oblivious(random_matrix(32, 1), random_matrix(32, 2));
-  EXPECT_LE(run16.peak_vp_entries, 3 * (4 + 1));
-  EXPECT_LE(run32.peak_vp_entries, 3 * (5 + 1));
+  EXPECT_LE(matmul_space_peak_entries(16 * 16), 3 * (4 + 1));
+  EXPECT_LE(matmul_space_peak_entries(32 * 32), 3 * (5 + 1));
 }
 
 TEST(MatmulSpace, LabelsAreEven) {
-  const auto run =
-      matmul_space_oblivious(random_matrix(16, 5), random_matrix(16, 6));
+  const auto a = random_matrix(16, 5);
+  const auto b = random_matrix(16, 6);
+  const auto run = run_program<MatmulSpaceMsg<long>>(
+      16 * 16, [&](auto& bk) { return matmul_space_program(bk, a, b); });
   for (const auto& s : run.trace.steps()) {
     EXPECT_EQ(s.label % 2, 0u);
   }
@@ -64,10 +65,14 @@ TEST(MatmulSpace, LabelsAreEven) {
 
 TEST(MatmulSpace, SuperstepCountIsSqrtN) {
   // Θ(2^i) 2i-supersteps at level i: total Θ(√n).
-  const auto run16 =
-      matmul_space_oblivious(random_matrix(16, 7), random_matrix(16, 8));
-  const auto run32 =
-      matmul_space_oblivious(random_matrix(32, 7), random_matrix(32, 8));
+  const auto a16 = random_matrix(16, 7);
+  const auto b16 = random_matrix(16, 8);
+  const auto run16 = run_program<MatmulSpaceMsg<long>>(
+      16 * 16, [&](auto& bk) { return matmul_space_program(bk, a16, b16); });
+  const auto a32 = random_matrix(32, 7);
+  const auto b32 = random_matrix(32, 8);
+  const auto run32 = run_program<MatmulSpaceMsg<long>>(
+      32 * 32, [&](auto& bk) { return matmul_space_program(bk, a32, b32); });
   const double s16 = static_cast<double>(run16.trace.supersteps());
   const double s32 = static_cast<double>(run32.trace.supersteps());
   // Doubling m doubles sqrt(n): superstep count should scale ~2x.
@@ -76,8 +81,10 @@ TEST(MatmulSpace, SuperstepCountIsSqrtN) {
 
 TEST(MatmulSpace, CommunicationMatchesSection411) {
   // H = O(n/√p + σ√p).
-  const auto run =
-      matmul_space_oblivious(random_matrix(32, 9), random_matrix(32, 10));
+  const auto a = random_matrix(32, 9);
+  const auto b = random_matrix(32, 10);
+  const auto run = run_program<MatmulSpaceMsg<long>>(
+      32 * 32, [&](auto& bk) { return matmul_space_program(bk, a, b); });
   const std::uint64_t n = 1024;
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); ++log_p) {
     const std::uint64_t p = 1ULL << log_p;
@@ -93,8 +100,10 @@ TEST(MatmulSpace, CommunicationMatchesSection411) {
 
 TEST(MatmulSpace, PaysMoreCommunicationThanCubeRootVariant) {
   // The space/communication trade-off: H = Θ(n/√p) exceeds Θ(n/p^{2/3}).
-  const auto run =
-      matmul_space_oblivious(random_matrix(32, 11), random_matrix(32, 12));
+  const auto a = random_matrix(32, 11);
+  const auto b = random_matrix(32, 12);
+  const auto run = run_program<MatmulSpaceMsg<long>>(
+      32 * 32, [&](auto& bk) { return matmul_space_program(bk, a, b); });
   const unsigned log_p = run.trace.log_v();
   const double h = communication_complexity(run.trace, log_p, 0.0);
   EXPECT_GT(h, lb::matmul(1024, 1024, 0.0));        // above the n/p^{2/3} form
@@ -102,8 +111,10 @@ TEST(MatmulSpace, PaysMoreCommunicationThanCubeRootVariant) {
 }
 
 TEST(MatmulSpace, WiseAtEveryFold) {
-  const auto run =
-      matmul_space_oblivious(random_matrix(16, 13), random_matrix(16, 14));
+  const auto a = random_matrix(16, 13);
+  const auto b = random_matrix(16, 14);
+  const auto run = run_program<MatmulSpaceMsg<long>>(
+      16 * 16, [&](auto& bk) { return matmul_space_program(bk, a, b); });
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); ++log_p) {
     EXPECT_GE(wiseness_alpha(run.trace, log_p), 0.2) << "log_p=" << log_p;
     EXPECT_TRUE(folding_inequality_holds(run.trace, log_p));
@@ -113,8 +124,11 @@ TEST(MatmulSpace, WiseAtEveryFold) {
 TEST(MatmulSpace, DummiesDoNotChangeResult) {
   const Matrix<long> a = random_matrix(8, 15);
   const Matrix<long> b = random_matrix(8, 16);
-  EXPECT_EQ(matmul_space_oblivious(a, b, true).c,
-            matmul_space_oblivious(a, b, false).c);
+  const auto with = run_program<MatmulSpaceMsg<long>>(
+      64, [&](auto& bk) { return matmul_space_program(bk, a, b, true); });
+  const auto without = run_program<MatmulSpaceMsg<long>>(
+      64, [&](auto& bk) { return matmul_space_program(bk, a, b, false); });
+  EXPECT_EQ(with.output, without.output);
 }
 
 }  // namespace

@@ -168,9 +168,12 @@ TEST(SampleSort, SortsAcrossInputShapesAndEngines) {
     inputs.push_back(std::move(reversed));
     for (const auto& keys : inputs) {
       const auto want = sorted_copy(keys);
-      EXPECT_EQ(samplesort_oblivious(keys).output, want) << "n=" << n;
+      auto sort = [&](auto& bk) { return samplesort_program(bk, keys); };
+      EXPECT_EQ(run_program<std::uint64_t>(n, sort).output, want)
+          << "n=" << n;
       for (const unsigned threads : {2u, 5u}) {
-        EXPECT_EQ(samplesort_oblivious(keys, ExecutionPolicy::parallel(threads))
+        EXPECT_EQ(run_program<std::uint64_t>(
+                      n, sort, ExecutionPolicy::parallel(threads))
                       .output,
                   want)
             << "n=" << n << " threads=" << threads;
@@ -181,7 +184,9 @@ TEST(SampleSort, SortsAcrossInputShapesAndEngines) {
 
 TEST(SampleSort, RejectsNonPowerOfTwoSizes) {
   for (const std::size_t n : {0u, 3u, 5u, 9u, 100u}) {
-    EXPECT_THROW((void)samplesort_oblivious(std::vector<std::uint64_t>(n)),
+    const std::vector<std::uint64_t> keys(n);
+    auto sort = [&](auto& bk) { return samplesort_program(bk, keys); };
+    EXPECT_THROW((void)run_program<std::uint64_t>(n, sort),
                  std::invalid_argument)
         << "n=" << n;
   }
@@ -191,9 +196,12 @@ TEST(SampleSort, StructureIsStaticAcrossInputs) {
   // The superstep count and label sequence are functions of n alone; only
   // degrees follow the data (data-dependent splitters).
   for (const std::uint64_t n : {4u, 16u, 64u}) {
-    const auto a = samplesort_oblivious(workloads::random_keys(n, n));
-    const auto b =
-        samplesort_oblivious(workloads::duplicate_heavy_keys(n, n + 9));
+    const auto random = workloads::random_keys(n, n);
+    const auto heavy = workloads::duplicate_heavy_keys(n, n + 9);
+    const auto a = run_program<std::uint64_t>(
+        n, [&](auto& bk) { return samplesort_program(bk, random); });
+    const auto b = run_program<std::uint64_t>(
+        n, [&](auto& bk) { return samplesort_program(bk, heavy); });
     ASSERT_EQ(a.trace.supersteps(), b.trace.supersteps()) << "n=" << n;
     for (std::size_t k = 0; k < a.trace.supersteps(); ++k) {
       EXPECT_EQ(a.trace.steps()[k].label, b.trace.steps()[k].label)
@@ -206,7 +214,8 @@ TEST(SampleSort, DegreesMatchReferenceAccumulatorMirror) {
   for (const std::uint64_t n : {4u, 16u, 64u}) {
     for (const auto& keys : {workloads::random_keys(n, n),
                              workloads::duplicate_heavy_keys(n, n + 1)}) {
-      const auto run = samplesort_oblivious(keys);
+      const auto run = run_program<std::uint64_t>(
+          n, [&](auto& bk) { return samplesort_program(bk, keys); });
       testing_detail::expect_trace_matches_reference(
           run.trace, expected_samplesort_steps(keys));
       testing_detail::expect_cost_queries_consistent(run.trace);
@@ -215,8 +224,9 @@ TEST(SampleSort, DegreesMatchReferenceAccumulatorMirror) {
 }
 
 TEST(SampleSort, FoldingInequalityHolds) {
-  const auto run =
-      samplesort_oblivious(workloads::duplicate_heavy_keys(256, 3));
+  const auto keys = workloads::duplicate_heavy_keys(256, 3);
+  const auto run = run_program<std::uint64_t>(
+      256, [&](auto& bk) { return samplesort_program(bk, keys); });
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); ++log_p) {
     EXPECT_TRUE(folding_inequality_holds(run.trace, log_p)) << log_p;
   }

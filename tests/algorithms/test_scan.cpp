@@ -49,16 +49,22 @@ TEST(Scan, MatchesPartialSumAcrossSweep) {
     const auto values = workloads::random_addends(n, n);
     std::vector<std::uint64_t> want(n);
     std::partial_sum(values.begin(), values.end(), want.begin());
-    EXPECT_EQ(scan_oblivious(values).output, want) << "n=" << n << " [seq]";
-    EXPECT_EQ(scan_oblivious(values, ExecutionPolicy::parallel(3)).output,
-              want)
+    auto scan = [&](auto& bk) { return scan_program(bk, values); };
+    EXPECT_EQ(run_program<std::uint64_t>(n, scan).output, want)
+        << "n=" << n << " [seq]";
+    EXPECT_EQ(
+        run_program<std::uint64_t>(n, scan, ExecutionPolicy::parallel(3))
+            .output,
+        want)
         << "n=" << n << " [par:3]";
   }
 }
 
 TEST(Scan, RejectsNonPowerOfTwoSizes) {
   for (const std::size_t n : {0u, 3u, 5u, 7u, 12u, 63u, 65u}) {
-    EXPECT_THROW((void)scan_oblivious(std::vector<std::uint64_t>(n)),
+    const std::vector<std::uint64_t> values(n);
+    auto scan = [&](auto& bk) { return scan_program(bk, values); };
+    EXPECT_THROW((void)run_program<std::uint64_t>(n, scan),
                  std::invalid_argument)
         << "n=" << n;
   }
@@ -66,7 +72,9 @@ TEST(Scan, RejectsNonPowerOfTwoSizes) {
 
 TEST(Scan, DegreesMatchReferenceAccumulator) {
   for (const std::uint64_t n : {4u, 16u, 64u}) {
-    const auto run = scan_oblivious(workloads::random_addends(n, n));
+    const auto values = workloads::random_addends(n, n);
+    const auto run = run_program<std::uint64_t>(
+        n, [&](auto& bk) { return scan_program(bk, values); });
     testing_detail::expect_trace_matches_reference(run.trace,
                                                    expected_scan_steps(n));
     testing_detail::expect_cost_queries_consistent(run.trace);
@@ -77,7 +85,9 @@ TEST(Scan, ClosedFormIsExact) {
   // Two degree-1 supersteps per label < log p, so H = 2 log p (1 + σ)
   // exactly — the predicted/measured ratio is identically 1.
   for (const std::uint64_t n : {4u, 64u, 1024u}) {
-    const auto run = scan_oblivious(workloads::random_addends(n, n));
+    const auto values = workloads::random_addends(n, n);
+    const auto run = run_program<std::uint64_t>(
+        n, [&](auto& bk) { return scan_program(bk, values); });
     for (const std::uint64_t p : pow2_range(n)) {
       const unsigned log_p = log2_exact(p);
       for (const double sigma : {0.0, 1.0, 16.0}) {
@@ -92,7 +102,9 @@ TEST(Scan, ClosedFormIsExact) {
 TEST(Scan, TreeWisenessIsTwoOverP) {
   // Like the broadcast of Section 4.5, a tree cannot densify under folding:
   // α(p) = 2/p exactly, and Lemma 3.1's folding inequality still holds.
-  const auto run = scan_oblivious(workloads::random_addends(256, 1));
+  const auto values = workloads::random_addends(256, 1);
+  const auto run = run_program<std::uint64_t>(
+      256, [&](auto& bk) { return scan_program(bk, values); });
   for (unsigned log_p = 1; log_p <= 8; ++log_p) {
     EXPECT_DOUBLE_EQ(wiseness_alpha(run.trace, log_p),
                      2.0 / static_cast<double>(std::uint64_t{1} << log_p));
@@ -101,7 +113,9 @@ TEST(Scan, TreeWisenessIsTwoOverP) {
 }
 
 TEST(Scan, OptimalAgainstGatherBoundAtConstantSigma) {
-  const auto run = scan_oblivious(workloads::random_addends(1024, 2));
+  const auto values = workloads::random_addends(1024, 2);
+  const auto run = run_program<std::uint64_t>(
+      1024, [&](auto& bk) { return scan_program(bk, values); });
   for (const std::uint64_t p : pow2_range(1024)) {
     const unsigned log_p = log2_exact(p);
     const double h0 = communication_complexity(run.trace, log_p, 0.0);

@@ -26,11 +26,12 @@ class Stencil1Correctness : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(Stencil1Correctness, MatchesSequentialReference) {
   const std::uint64_t n = GetParam();
   const auto input = random_input(n, n + 1);
-  const auto run = stencil1_oblivious(input, heat);
+  const auto run = run_program<double>(
+      n, [&](auto& bk) { return stencil1_program(bk, input, heat); });
   const auto ref = stencil1_reference(input, heat);
   for (std::uint64_t t = 0; t < n; ++t) {
     for (std::uint64_t x = 0; x < n; ++x) {
-      ASSERT_DOUBLE_EQ(run.grid(t, x), ref(t, x))
+      ASSERT_DOUBLE_EQ(run.output(t, x), ref(t, x))
           << "n=" << n << " t=" << t << " x=" << x;
     }
   }
@@ -42,11 +43,12 @@ INSTANTIATE_TEST_SUITE_P(Sizes, Stencil1Correctness,
 
 TEST(Stencil1, RowwiseBaselineMatchesReference) {
   const auto input = random_input(64, 9);
-  const auto run = stencil1_rowwise(input, heat);
+  const auto run = run_program<double>(
+      64, [&](auto& bk) { return stencil1_rowwise_program(bk, input, heat); });
   const auto ref = stencil1_reference(input, heat);
   for (std::uint64_t t = 0; t < 64; ++t) {
     for (std::uint64_t x = 0; x < 64; ++x) {
-      ASSERT_DOUBLE_EQ(run.grid(t, x), ref(t, x));
+      ASSERT_DOUBLE_EQ(run.output(t, x), ref(t, x));
     }
   }
 }
@@ -56,10 +58,12 @@ TEST(Stencil1, KOverrideStillCorrect) {
   const auto input = random_input(64, 10);
   const auto ref = stencil1_reference(input, heat);
   for (const std::uint64_t k : {2u, 4u, 16u}) {
-    const auto run = stencil1_oblivious(input, heat, true, k);
+    const auto run = run_program<double>(64, [&](auto& bk) {
+      return stencil1_program(bk, input, heat, true, k);
+    });
     for (std::uint64_t t = 0; t < 64; ++t) {
       for (std::uint64_t x = 0; x < 64; ++x) {
-        ASSERT_DOUBLE_EQ(run.grid(t, x), ref(t, x)) << "k=" << k;
+        ASSERT_DOUBLE_EQ(run.output(t, x), ref(t, x)) << "k=" << k;
       }
     }
   }
@@ -71,11 +75,12 @@ TEST(Stencil1, NonlinearRule) {
   const auto rule = [](double l, double c, double r) {
     return std::max({l + 0.5, c, r - 0.25});
   };
-  const auto run = stencil1_oblivious(input, rule);
+  const auto run = run_program<double>(
+      32, [&](auto& bk) { return stencil1_program(bk, input, rule); });
   const auto ref = stencil1_reference(input, rule);
   for (std::uint64_t t = 0; t < 32; ++t) {
     for (std::uint64_t x = 0; x < 32; ++x) {
-      ASSERT_DOUBLE_EQ(run.grid(t, x), ref(t, x));
+      ASSERT_DOUBLE_EQ(run.output(t, x), ref(t, x));
     }
   }
 }
@@ -85,7 +90,9 @@ TEST(Stencil1, SuperstepCensusMatchesPaper) {
   // n = 256: k = 2^⌈√8⌉ = 8, radices 8·8·4, labels 0 / 3 / 6.
   const std::uint64_t n = 256;
   const DiamondSchedule sched(n);
-  const auto run = stencil1_oblivious(random_input(n, 12), heat);
+  const auto input = random_input(n, 12);
+  const auto run = run_program<double>(
+      n, [&](auto& bk) { return stencil1_program(bk, input, heat); });
   EXPECT_EQ(sched.leaf_steps(), 15u * 15u * 7u);
   EXPECT_EQ(sched.total_steps(), 15u + 15u * 15u + 15u * 15u * 7u);
   EXPECT_EQ(run.trace.supersteps(), sched.total_steps());
@@ -99,7 +106,9 @@ TEST(Stencil1, SuperstepCensusMatchesPaper) {
 
 TEST(Stencil1, CommunicationWithinTheorem411Envelope) {
   const std::uint64_t n = 256;
-  const auto run = stencil1_oblivious(random_input(n, 13), heat);
+  const auto input = random_input(n, 13);
+  const auto run = run_program<double>(
+      n, [&](auto& bk) { return stencil1_program(bk, input, heat); });
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); ++log_p) {
     const std::uint64_t p = 1ULL << log_p;
     const double sigma_max = static_cast<double>(n) / static_cast<double>(p);
@@ -117,7 +126,9 @@ TEST(Stencil1, CommunicationWithinTheorem411Envelope) {
 }
 
 TEST(Stencil1, WiseAtEveryFold) {
-  const auto run = stencil1_oblivious(random_input(64, 14), heat);
+  const auto input = random_input(64, 14);
+  const auto run = run_program<double>(
+      64, [&](auto& bk) { return stencil1_program(bk, input, heat); });
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); ++log_p) {
     EXPECT_GE(wiseness_alpha(run.trace, log_p), 0.1) << "log_p=" << log_p;
     EXPECT_TRUE(folding_inequality_holds(run.trace, log_p));
@@ -129,8 +140,10 @@ TEST(Stencil1, DiamondBeatsRowwiseOnLatencyBoundMachines) {
   // schedule pays n·ℓ_0 while the diamond schedule localizes most barriers.
   const std::uint64_t n = 256;
   const auto input = random_input(n, 15);
-  const auto diamond = stencil1_oblivious(input, heat);
-  const auto rowwise = stencil1_rowwise(input, heat);
+  const auto diamond = run_program<double>(
+      n, [&](auto& bk) { return stencil1_program(bk, input, heat); });
+  const auto rowwise = run_program<double>(
+      n, [&](auto& bk) { return stencil1_rowwise_program(bk, input, heat); });
   const auto params = topology::uniform(4, 1.0, 1000.0);
   EXPECT_LT(communication_time(diamond.trace, params),
             0.25 * communication_time(rowwise.trace, params));
@@ -168,8 +181,9 @@ TEST(Stencil1, ScheduleGeometryInvariants) {
 }
 
 TEST(Stencil1, ValidatesInput) {
-  EXPECT_THROW(stencil1_oblivious(std::vector<double>(3, 0.0), heat),
-               std::invalid_argument);
+  const std::vector<double> three(3, 0.0);
+  auto stencil = [&](auto& bk) { return stencil1_program(bk, three, heat); };
+  EXPECT_THROW((void)run_program<double>(3, stencil), std::invalid_argument);
   EXPECT_THROW(DiamondSchedule(1), std::invalid_argument);
   EXPECT_THROW(DiamondSchedule(64, 3), std::invalid_argument);
 }

@@ -44,16 +44,18 @@ TEST(Stencil2Reference, MatchesHandComputedCell) {
 }
 
 TEST(Stencil2Schedule, SeventeenStages) {
-  const auto run = stencil2_oblivious_schedule(16);
-  EXPECT_EQ(run.stages, 17u);
+  const auto run = run_program<std::uint8_t>(
+      16 * 16, [&](auto& bk) { return stencil2_program(bk, 16); });
+  EXPECT_EQ(kStencil2Stages, 17u);
   // n = 16: v = 256, k = 4 (⌈√4⌉ = 2), radices {16, 16}: per stage
   // (4·4−3) + (4·4−3)² supersteps.
-  EXPECT_EQ(run.radices, (std::vector<std::uint64_t>{16, 16}));
+  EXPECT_EQ(run.output, (std::vector<std::uint64_t>{16, 16}));
   EXPECT_EQ(run.trace.supersteps(), 17u * (13u + 13u * 13u));
 }
 
 TEST(Stencil2Schedule, LabelLadder) {
-  const auto run = stencil2_oblivious_schedule(16);
+  const auto run = run_program<std::uint8_t>(
+      16 * 16, [&](auto& bk) { return stencil2_program(bk, 16); });
   // Level 1 -> label 0, level 2 -> label 2·log k = 4.
   EXPECT_EQ(run.trace.S(0), 17u * 13u);
   EXPECT_EQ(run.trace.S(4), 17u * 13u * 13u);
@@ -61,7 +63,8 @@ TEST(Stencil2Schedule, LabelLadder) {
 
 TEST(Stencil2Schedule, CommunicationMatchesTheorem413) {
   const std::uint64_t n = 64;
-  const auto run = stencil2_oblivious_schedule(n);
+  const auto run = run_program<std::uint8_t>(
+      n * n, [&](auto& bk) { return stencil2_program(bk, n); });
   const std::uint64_t v = n * n;
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); log_p += 3) {
     const std::uint64_t p = 1ULL << log_p;
@@ -76,7 +79,8 @@ TEST(Stencil2Schedule, CommunicationMatchesTheorem413) {
 }
 
 TEST(Stencil2Schedule, WiseAtEveryFold) {
-  const auto run = stencil2_oblivious_schedule(16);
+  const auto run = run_program<std::uint8_t>(
+      16 * 16, [&](auto& bk) { return stencil2_program(bk, 16); });
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); ++log_p) {
     EXPECT_GE(wiseness_alpha(run.trace, log_p), 0.5) << "log_p=" << log_p;
     EXPECT_TRUE(folding_inequality_holds(run.trace, log_p));
@@ -84,14 +88,19 @@ TEST(Stencil2Schedule, WiseAtEveryFold) {
 }
 
 TEST(Stencil2Schedule, Validation) {
-  EXPECT_THROW(stencil2_oblivious_schedule(6), std::invalid_argument);
-  EXPECT_THROW(stencil2_oblivious_schedule(16, true, 3),
+  auto odd_n = [](auto& bk) { return stencil2_program(bk, 6); };
+  EXPECT_THROW((void)run_program<std::uint8_t>(36, odd_n),
+               std::invalid_argument);
+  auto bad_k = [](auto& bk) { return stencil2_program(bk, 16, true, 3); };
+  EXPECT_THROW((void)run_program<std::uint8_t>(256, bad_k),
                std::invalid_argument);
 }
 
 TEST(Stencil2Schedule, KOverrideChangesPhaseCount) {
-  const auto k2 = stencil2_oblivious_schedule(16, true, 2);
-  const auto k4 = stencil2_oblivious_schedule(16, true, 4);
+  const auto k2 = run_program<std::uint8_t>(
+      16 * 16, [&](auto& bk) { return stencil2_program(bk, 16, true, 2); });
+  const auto k4 = run_program<std::uint8_t>(
+      16 * 16, [&](auto& bk) { return stencil2_program(bk, 16, true, 4); });
   EXPECT_NE(k2.trace.supersteps(), k4.trace.supersteps());
 }
 

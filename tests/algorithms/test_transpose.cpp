@@ -45,33 +45,42 @@ TEST(Transpose, MatchesHostTransposeAcrossSweep) {
     for (std::uint64_t i = 0; i < m; ++i) {
       for (std::uint64_t j = 0; j < m; ++j) want(j, i) = a(i, j);
     }
-    EXPECT_EQ(transpose_oblivious(a).output, want) << "m=" << m << " [seq]";
-    EXPECT_EQ(transpose_oblivious(a, ExecutionPolicy::parallel(3)).output,
-              want)
+    auto transpose = [&](auto& bk) { return transpose_program(bk, a); };
+    EXPECT_EQ(run_program<long>(m * m, transpose).output, want)
+        << "m=" << m << " [seq]";
+    EXPECT_EQ(
+        run_program<long>(m * m, transpose, ExecutionPolicy::parallel(3))
+            .output,
+        want)
         << "m=" << m << " [par:3]";
   }
 }
 
 TEST(Transpose, TwiceIsIdentity) {
   const Matrix<long> a = workloads::random_matrix(16, 5);
-  EXPECT_EQ(transpose_oblivious(transpose_oblivious(a).output).output, a);
+  const auto twice = run_program<long>(256, [&](auto& bk) {
+    return transpose_program(bk, transpose_program(bk, a));
+  });
+  EXPECT_EQ(twice.output, a);
 }
 
 TEST(Transpose, RejectsBadShapes) {
-  EXPECT_THROW((void)transpose_oblivious(Matrix<long>(0, 0)),
-               std::invalid_argument);
-  EXPECT_THROW((void)transpose_oblivious(Matrix<long>(4, 8)),
-               std::invalid_argument);  // not square
-  for (const std::size_t m : {3u, 5u, 7u, 12u}) {
-    EXPECT_THROW((void)transpose_oblivious(Matrix<long>(m, m)),
+  // Empty, not square, then odd / non-power-of-two sides.
+  std::vector<Matrix<long>> bad{Matrix<long>(0, 0), Matrix<long>(4, 8)};
+  for (const std::size_t m : {3u, 5u, 7u, 12u}) bad.emplace_back(m, m);
+  for (const Matrix<long>& a : bad) {
+    auto transpose = [&](auto& bk) { return transpose_program(bk, a); };
+    EXPECT_THROW((void)run_program<long>(a.rows() * a.rows(), transpose),
                  std::invalid_argument)
-        << "m=" << m;  // odd / non-power-of-two side
+        << a.rows() << "x" << a.cols();
   }
 }
 
 TEST(Transpose, DegreesMatchReferenceAccumulator) {
   for (const std::uint64_t m : {2u, 4u, 8u}) {
-    const auto run = transpose_oblivious(workloads::random_matrix(m, m));
+    const auto a = workloads::random_matrix(m, m);
+    const auto run = run_program<long>(
+        m * m, [&](auto& bk) { return transpose_program(bk, a); });
     testing_detail::expect_trace_matches_reference(run.trace,
                                                    expected_transpose_steps(m));
     testing_detail::expect_cost_queries_consistent(run.trace);
@@ -84,7 +93,9 @@ TEST(Transpose, ClosedFormIsExactAtEveryFold) {
   // each row clips to the cluster window, min(n/p, m/2^{d+1}) — also exact.
   for (const std::uint64_t m : {8u, 32u}) {
     const std::uint64_t n = m * m;
-    const auto run = transpose_oblivious(workloads::random_matrix(m, m));
+    const auto a = workloads::random_matrix(m, m);
+    const auto run = run_program<long>(
+        n, [&](auto& bk) { return transpose_program(bk, a); });
     for (const std::uint64_t p : pow2_range(n)) {
       const unsigned log_p = log2_exact(p);
       for (const double sigma : {0.0, 1.0, 9.0}) {
@@ -105,7 +116,9 @@ TEST(Transpose, ClosedFormIsExactAtEveryFold) {
 
 TEST(Transpose, WiseWithoutDummiesAndNearLowerBound) {
   const std::uint64_t m = 32;
-  const auto run = transpose_oblivious(workloads::random_matrix(m, m));
+  const auto a = workloads::random_matrix(m, m);
+  const auto run = run_program<long>(
+      m * m, [&](auto& bk) { return transpose_program(bk, a); });
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); ++log_p) {
     // Θ(1)-wise with no dummy traffic over the whole-row fold range; the
     // constant degrades gracefully (but stays bounded) on sub-row folds.

@@ -9,12 +9,13 @@
 // list: registering an algorithm is what buys it sequential-vs-parallel
 // bit-equivalence coverage (and the TSan run via the `engine` CTest label),
 // with no edit here. Registry runners return traces only, so output-VALUE
-// equivalence keeps a compact per-kernel matrix below — outputs live in
-// kernel-specific result types the registry deliberately erases.
+// equivalence keeps a compact matrix below that runs every kernel's
+// program through run_program (bsp/backend.hpp) under each engine.
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "algorithms/bitonic.hpp"
@@ -22,10 +23,12 @@
 #include "algorithms/fft.hpp"
 #include "algorithms/matmul.hpp"
 #include "algorithms/matmul_space.hpp"
+#include "algorithms/primitives.hpp"
 #include "algorithms/samplesort.hpp"
 #include "algorithms/scan.hpp"
 #include "algorithms/sort.hpp"
 #include "algorithms/stencil1d.hpp"
+#include "algorithms/stencil2d.hpp"
 #include "algorithms/transpose.hpp"
 #include "bsp/backend.hpp"
 #include "bsp/execution.hpp"
@@ -213,12 +216,30 @@ TEST(BackendEquivalence, CostTraceMatchesParallelSimulateToo) {
 // ---- Output values, per kernel. ------------------------------------------
 //
 // Registry runners discard algorithm outputs, so the value-level half of
-// the guarantee — per-VP results bit-identical under both engines — is
-// asserted here against each kernel's own entry point.
+// the guarantee — per-VP results bit-identical under both engines — runs
+// each kernel's program through run_program under every engine.
+
+// Run `program` on M(v) sequentially and under each parallel thread count:
+// outputs must compare equal (bit-identical, not approximately: both
+// engines execute the same floating-point operations per VP in the same
+// order) and traces identical.
+template <typename Payload, typename Program>
+void expect_engine_invariant(const std::string& name, std::uint64_t v,
+                             const Program& program) {
+  const auto seq = run_program<Payload>(v, program);
+  for (const unsigned threads : kThreadCounts) {
+    SCOPED_TRACE(name + " v=" + std::to_string(v) +
+                 " threads=" + std::to_string(threads));
+    const auto par =
+        run_program<Payload>(v, program, ExecutionPolicy::parallel(threads));
+    EXPECT_TRUE(seq.output == par.output);
+    expect_traces_identical(seq.trace, par.trace);
+  }
+}
 
 TEST(EngineEquivalence, OutputValuesMatchAcrossEngines) {
   using namespace workloads;
-  constexpr unsigned kOutputThreads[] = {2, 3, 8};
+  using U = std::uint64_t;
   for (const std::uint64_t v : {16u, 64u}) {
     const std::uint64_t m = std::uint64_t{1} << (log2_exact(v) / 2);
     const auto keys = random_keys(v, v + 1);
@@ -229,53 +250,44 @@ TEST(EngineEquivalence, OutputValuesMatchAcrossEngines) {
     const auto addends = random_addends(v, v + 6);
     const auto heavy = duplicate_heavy_keys(v, v + 7);
 
-    const auto bc = broadcast_oblivious(v, 2, 7);
+    expect_engine_invariant<U>("broadcast", v, [](auto& bk) {
+      return broadcast_program(bk, 2, U{7});
+    });
     // Fanout 4 exercises multi-child send ordering the registry's fixed
     // kappa = 2 entry never does.
-    const auto bc4 = broadcast_oblivious(v, 4, 7);
-    const auto bit = bitonic_sort_oblivious(keys);
-    const auto col = sort_oblivious(keys);
-    const auto fft = fft_oblivious(signal);
-    const auto mm = matmul_oblivious(a, b);
-    const auto mms = matmul_space_oblivious(a, b);
-    const auto st1 = stencil1_oblivious(rod, heat_rule);
-    const auto sc = scan_oblivious(addends);
-    const auto tr = transpose_oblivious(a);
-    const auto ss = samplesort_oblivious(heavy);
-
-    for (const unsigned threads : kOutputThreads) {
-      SCOPED_TRACE("v=" + std::to_string(v) + " threads=" +
-                   std::to_string(threads));
-      const ExecutionPolicy par = ExecutionPolicy::parallel(threads);
-      EXPECT_EQ(bc.values, broadcast_oblivious(v, 2, 7, par).values);
-      const auto bc4_par = broadcast_oblivious(v, 4, 7, par);
-      EXPECT_EQ(bc4.values, bc4_par.values);
-      expect_traces_identical(bc4.trace, bc4_par.trace);
-      EXPECT_EQ(bit.output, bitonic_sort_oblivious(keys, par).output);
-      EXPECT_EQ(col.output, sort_oblivious(keys, true, par).output);
-      const auto fft_par = fft_oblivious(signal, true, par);
-      ASSERT_EQ(fft.output.size(), fft_par.output.size());
-      for (std::size_t k = 0; k < fft.output.size(); ++k) {
-        // Bit-identical, not approximately equal: both engines execute the
-        // same floating-point operations per VP in the same order.
-        EXPECT_EQ(fft.output[k].real(), fft_par.output[k].real()) << k;
-        EXPECT_EQ(fft.output[k].imag(), fft_par.output[k].imag()) << k;
-      }
-      const auto mm_par = matmul_oblivious(a, b, true, par);
-      EXPECT_EQ(mm.c, mm_par.c);
-      EXPECT_EQ(mm.peak_vp_entries, mm_par.peak_vp_entries);
-      EXPECT_EQ(mms.c, matmul_space_oblivious(a, b, true, par).c);
-      const auto st1_par = stencil1_oblivious(rod, heat_rule, true, 0, par);
-      for (std::uint64_t t = 0; t < v; ++t) {
-        for (std::uint64_t x = 0; x < v; ++x) {
-          EXPECT_EQ(st1.grid(t, x), st1_par.grid(t, x))
-              << "t=" << t << " x=" << x;
-        }
-      }
-      EXPECT_EQ(sc.output, scan_oblivious(addends, par).output);
-      EXPECT_EQ(tr.output, transpose_oblivious(a, par).output);
-      EXPECT_EQ(ss.output, samplesort_oblivious(heavy, par).output);
-    }
+    expect_engine_invariant<U>("broadcast:4", v, [](auto& bk) {
+      return broadcast_program(bk, 4, U{7});
+    });
+    expect_engine_invariant<U>("bitonic", v, [&](auto& bk) {
+      return bitonic_sort_program(bk, keys);
+    });
+    expect_engine_invariant<U>(
+        "sort", v, [&](auto& bk) { return sort_program(bk, keys); });
+    expect_engine_invariant<std::complex<double>>(
+        "fft", v, [&](auto& bk) { return fft_program(bk, signal); });
+    expect_engine_invariant<MatmulMsg<long>>(
+        "matmul", v, [&](auto& bk) { return matmul_program(bk, a, b); });
+    expect_engine_invariant<MatmulSpaceMsg<long>>(
+        "matmul-space", v,
+        [&](auto& bk) { return matmul_space_program(bk, a, b); });
+    expect_engine_invariant<double>("stencil1", v, [&](auto& bk) {
+      return stencil1_program(bk, rod, heat_rule);
+    });
+    expect_engine_invariant<std::uint8_t>(
+        "stencil2", v, [m](auto& bk) { return stencil2_program(bk, m); });
+    expect_engine_invariant<U>(
+        "scan", v, [&](auto& bk) { return scan_program(bk, addends); });
+    expect_engine_invariant<long>(
+        "transpose", v, [&](auto& bk) { return transpose_program(bk, a); });
+    expect_engine_invariant<U>("samplesort", v, [&](auto& bk) {
+      return samplesort_program(bk, heavy);
+    });
+    expect_engine_invariant<U>(
+        "reduce", v, [&](auto& bk) { return reduce_program(bk, addends); });
+    expect_engine_invariant<U>(
+        "gather", v, [&](auto& bk) { return gather_program(bk, addends); });
+    expect_engine_invariant<U>(
+        "shift", v, [&](auto& bk) { return shift_program(bk, addends); });
   }
 }
 

@@ -1,83 +1,56 @@
 // Conformance suite: invariants every specification-model algorithm must
 // satisfy, run uniformly over all of them. Complements the per-algorithm
-// suites with breadth: any new algorithm added to the registry below is
+// suites with breadth: the producers are the AlgoRegistry's entries at
+// each of their smoke sizes, so any new algorithm added to the registry is
 // automatically held to the framework's contracts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "algorithms/bitonic.hpp"
 #include "algorithms/broadcast.hpp"
-#include "algorithms/fft.hpp"
-#include "algorithms/matmul.hpp"
-#include "algorithms/matmul_space.hpp"
-#include "algorithms/sort.hpp"
-#include "algorithms/stencil1d.hpp"
-#include "algorithms/stencil2d.hpp"
+#include "bsp/backend.hpp"
 #include "bsp/cost.hpp"
 #include "bsp/topology.hpp"
 #include "bsp/trace_io.hpp"
+#include "core/registry.hpp"
 #include "core/wiseness.hpp"
-#include "util/rng.hpp"
 
 namespace nobl {
 namespace {
 
 struct Producer {
-  const char* name;
-  Trace (*make)();
+  std::string name;  ///< a gtest parameter name: [A-Za-z0-9_] only
+  std::function<Trace()> make;
 };
 
-Matrix<long> rm(std::uint64_t m, std::uint64_t seed) {
-  Matrix<long> a(m, m);
-  Xoshiro256 rng(seed);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      a(i, j) = static_cast<long>(rng.below(32));
-    }
-  }
-  return a;
+/// The sigma-aware broadcast is no registry kernel: its fanout depends on
+/// the machine's sigma, which a network-oblivious entry may not know.
+Trace broadcast_aware_trace() {
+  const std::uint64_t kappa = broadcast_aware_kappa(256, 8.0);
+  auto run = run_program<std::uint64_t>(256, [&](auto& bk) {
+    return broadcast_program(bk, kappa, std::uint64_t{1});
+  });
+  return std::move(run.trace);
 }
 
-const Producer kProducers[] = {
-    {"matmul",
-     [] { return matmul_oblivious(rm(16, 1), rm(16, 2)).trace; }},
-    {"matmul_space",
-     [] { return matmul_space_oblivious(rm(16, 3), rm(16, 4)).trace; }},
-    {"fft",
-     [] {
-       Xoshiro256 rng(5);
-       std::vector<std::complex<double>> x(256);
-       for (auto& v : x) v = {rng.unit(), rng.unit()};
-       return fft_oblivious(x).trace;
-     }},
-    {"sort",
-     [] {
-       Xoshiro256 rng(6);
-       std::vector<std::uint64_t> keys(256);
-       for (auto& k : keys) k = rng.below(1ULL << 32);
-       return sort_oblivious(keys).trace;
-     }},
-    {"bitonic",
-     [] {
-       Xoshiro256 rng(7);
-       std::vector<std::uint64_t> keys(256);
-       for (auto& k : keys) k = rng.below(1ULL << 32);
-       return bitonic_sort_oblivious(keys).trace;
-     }},
-    {"stencil1",
-     [] {
-       Xoshiro256 rng(8);
-       std::vector<double> rod(128);
-       for (auto& v : rod) v = rng.unit();
-       return stencil1_oblivious(
-                  rod, [](double l, double c, double r) { return l + c + r; })
-           .trace;
-     }},
-    {"stencil2", [] { return stencil2_oblivious_schedule(16).trace; }},
-    {"broadcast_aware", [] { return broadcast_aware(256, 8.0).trace; }},
-    {"broadcast_oblivious", [] { return broadcast_oblivious(256, 2).trace; }},
-};
+std::vector<Producer> producers() {
+  std::vector<Producer> out;
+  for (const AlgoEntry& entry : AlgoRegistry::instance().entries()) {
+    std::string name = entry.name;
+    std::replace(name.begin(), name.end(), '-', '_');
+    for (const std::uint64_t n : entry.smoke_sizes) {
+      out.push_back({name + "_" + std::to_string(n),
+                     [&entry, n] { return entry.runner(n, RunOptions{}); }});
+    }
+  }
+  out.push_back({"broadcast_aware", broadcast_aware_trace});
+  return out;
+}
 
 class Conformance : public ::testing::TestWithParam<Producer> {};
 
@@ -145,9 +118,9 @@ TEST_P(Conformance, DbspTimeOrderedByTopologyStrength) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, Conformance,
-                         ::testing::ValuesIn(kProducers),
+                         ::testing::ValuesIn(producers()),
                          [](const auto& param_info) {
-                           return std::string(param_info.param.name);
+                           return param_info.param.name;
                          });
 
 }  // namespace

@@ -56,7 +56,10 @@ TEST(GrowthShapes, MatmulTracksTheTheorem42Exponent) {
   // Theorem 4.2: H ~ n/p^{2/3}. Over the full fold range the measured slope
   // must track the formula's slope over the same window (which itself
   // approaches -2/3 only asymptotically) within 0.15.
-  const auto run = matmul_oblivious(rm(64, 1), rm(64, 2));
+  const auto a = rm(64, 1);
+  const auto b = rm(64, 2);
+  const auto run = run_program<MatmulMsg<long>>(
+      64 * 64, [&](auto& bk) { return matmul_program(bk, a, b); });
   const double measured = h_slope(run.trace, 12);
   const double predicted = formula_slope(predict::matmul, 4096, 12);
   EXPECT_NEAR(measured, predicted, 0.15);
@@ -66,7 +69,10 @@ TEST(GrowthShapes, MatmulTracksTheTheorem42Exponent) {
 TEST(GrowthShapes, MatmulSpaceTracksTheSection411Exponent) {
   // §4.1.1: H ~ n/√p (the measured curve staircases with the two-round
   // recursion's even/odd fold alignment; the fit averages it out).
-  const auto run = matmul_space_oblivious(rm(64, 3), rm(64, 4));
+  const auto a = rm(64, 3);
+  const auto b = rm(64, 4);
+  const auto run = run_program<MatmulSpaceMsg<long>>(
+      64 * 64, [&](auto& bk) { return matmul_space_program(bk, a, b); });
   const double measured = h_slope(run.trace, 12);
   const double predicted = formula_slope(predict::matmul_space, 4096, 12);
   EXPECT_NEAR(measured, predicted, 0.15);
@@ -79,7 +85,8 @@ TEST(GrowthShapes, FftScalesAsPToMinusOne) {
   Xoshiro256 rng(5);
   std::vector<std::complex<double>> x(16384);
   for (auto& v : x) v = {rng.unit(), rng.unit()};
-  const auto run = fft_oblivious(x);
+  const auto run = run_program<std::complex<double>>(
+      16384, [&](auto& bk) { return fft_program(bk, x); });
   const double slope = h_slope(run.trace, 7);  // p up to 128 = n^{1/2}
   EXPECT_NEAR(slope, -1.0, 0.15);
 }
@@ -88,7 +95,8 @@ TEST(GrowthShapes, Stencil2TracksTheTheorem413Exponent) {
   // Theorem 4.13: H ~ n²/√p. The measured curve is a staircase (whole
   // recursion levels fold local at once); the full-range fit averages to
   // the formula's -1/2.
-  const auto run = stencil2_oblivious_schedule(64);
+  const auto run = run_program<std::uint8_t>(
+      64 * 64, [](auto& bk) { return stencil2_program(bk, 64); });
   const double measured = h_slope(run.trace, 12);
   EXPECT_NEAR(measured, -0.5, 0.15);
 }
@@ -96,8 +104,14 @@ TEST(GrowthShapes, Stencil2TracksTheTheorem413Exponent) {
 TEST(GrowthShapes, MatmulScaleInvarianceAcrossN) {
   // H(n, p)/LB-shape must be identical for n = 64 and n = 4096 at matching
   // folds (the ratio table's "2.381 at p = 2 for every n" observation).
-  const auto small = matmul_oblivious(rm(8, 6), rm(8, 7));
-  const auto large = matmul_oblivious(rm(64, 6), rm(64, 7));
+  const auto a8 = rm(8, 6);
+  const auto b8 = rm(8, 7);
+  const auto small = run_program<MatmulMsg<long>>(
+      8 * 8, [&](auto& bk) { return matmul_program(bk, a8, b8); });
+  const auto a64 = rm(64, 6);
+  const auto b64 = rm(64, 7);
+  const auto large = run_program<MatmulMsg<long>>(
+      64 * 64, [&](auto& bk) { return matmul_program(bk, a64, b64); });
   const double r_small = communication_complexity(small.trace, 1, 0.0) / 64.0;
   const double r_large =
       communication_complexity(large.trace, 1, 0.0) / 4096.0;

@@ -35,7 +35,10 @@ Matrix<long> random_matrix(std::uint64_t m, std::uint64_t seed) {
 }
 
 TEST(Integration, TraceSurvivesSerializationWithIdenticalCertification) {
-  const auto run = matmul_oblivious(random_matrix(16, 1), random_matrix(16, 2));
+  const auto ma = random_matrix(16, 1);
+  const auto mb = random_matrix(16, 2);
+  const auto run = run_program<MatmulMsg<long>>(
+      256, [&](auto& bk) { return matmul_program(bk, ma, mb); });
   std::stringstream ss;
   write_trace_csv(ss, run.trace);
   const Trace restored = read_trace_csv(ss);
@@ -59,7 +62,8 @@ TEST(Integration, HIsMonotoneInSigmaAndDecreasingPerProcessorInP) {
   Xoshiro256 rng(3);
   std::vector<std::uint64_t> keys(512);
   for (auto& k : keys) k = rng.below(1ULL << 40);
-  const auto run = sort_oblivious(keys);
+  const auto run = run_program<std::uint64_t>(
+      512, [&](auto& bk) { return sort_program(bk, keys); });
   for (unsigned log_p = 1; log_p <= run.trace.log_v(); ++log_p) {
     EXPECT_LE(communication_complexity(run.trace, log_p, 1.0),
               communication_complexity(run.trace, log_p, 2.0));
@@ -75,12 +79,11 @@ TEST(Integration, HIsMonotoneInSigmaAndDecreasingPerProcessorInP) {
 TEST(Integration, DbspTimeBracketsByUniformMachines) {
   // For any monotone (g, ell): D is between the uniform machine with the
   // finest parameters and the one with the coarsest.
-  const auto run = fft_oblivious([] {
-    Xoshiro256 rng(4);
-    std::vector<std::complex<double>> x(1024);
-    for (auto& v : x) v = {rng.unit(), rng.unit()};
-    return x;
-  }());
+  Xoshiro256 rng(4);
+  std::vector<std::complex<double>> x(1024);
+  for (auto& v : x) v = {rng.unit(), rng.unit()};
+  const auto run = run_program<std::complex<double>>(
+      1024, [&](auto& bk) { return fft_program(bk, x); });
   for (const auto& params : topology::standard_suite(64)) {
     DbspParams lo;
     lo.g.assign(params.log_p(), params.g.back());
@@ -102,8 +105,10 @@ TEST(Integration, AscendDescendPreservesHUpToLogFactors) {
     for (auto& v : x) v = rng.unit();
     return x;
   }();
-  const auto run = stencil1_oblivious(
-      rod, [](double l, double c, double r) { return l + c + r; });
+  const auto run = run_program<double>(64, [&](auto& bk) {
+    return stencil1_program(
+        bk, rod, [](double l, double c, double r) { return l + c + r; });
+  });
   for (const unsigned log_p : {2u, 4u, 6u}) {
     const Trace transformed = ascend_descend_transform(run.trace, log_p);
     const double h_a = communication_complexity(run.trace, log_p, 1.0);
@@ -121,7 +126,10 @@ TEST(Integration, AwareAlgorithmFoldsLikeAnyMachineAlgorithm) {
   // can itself be folded to smaller machines. The σ-aware broadcast's folds
   // stay within the Theorem 4.15 envelope of the *smaller* machines.
   const double sigma = 16.0;
-  const auto run = broadcast_aware(1024, sigma);
+  const auto run = run_program<std::uint64_t>(1024, [&](auto& bk) {
+    return broadcast_program(bk, broadcast_aware_kappa(1024, sigma),
+                             std::uint64_t{1});
+  });
   for (unsigned log_p = 2; log_p <= run.trace.log_v(); ++log_p) {
     const double h = communication_complexity(run.trace, log_p, sigma);
     EXPECT_LE(h, 10.0 * lb::broadcast(1ULL << log_p, sigma))
@@ -133,7 +141,10 @@ TEST(Integration, WisenessMonotoneUnderFoldRestriction) {
   // (α,p)-wise implies (α,p')-wise for p' <= p (the remark after Def. 3.2):
   // measured α can only go up when the fold shrinks... verified as: the
   // definition holds at p' with the α measured at p.
-  const auto run = matmul_oblivious(random_matrix(32, 5), random_matrix(32, 6));
+  const auto a = random_matrix(32, 5);
+  const auto b = random_matrix(32, 6);
+  const auto run = run_program<MatmulMsg<long>>(
+      1024, [&](auto& bk) { return matmul_program(bk, a, b); });
   const unsigned log_v = run.trace.log_v();
   const double alpha_full = wiseness_alpha(run.trace, log_v);
   for (unsigned log_p = 1; log_p < log_v; ++log_p) {
