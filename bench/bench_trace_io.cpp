@@ -6,14 +6,14 @@
 // packing, per-block CRCs) — and the tables report
 //
 //   * file size per format and the bin/csv ratio (smaller is better),
-//   * write throughput in supersteps/second (streaming TraceWriter vs
-//     CSV formatting),
-//   * read throughput in supersteps/second (TraceReader index pass vs
-//     CSV parsing).
+//   * write throughput in supersteps/second (write_trace_bin vs CSV
+//     formatting),
+//   * read throughput in supersteps/second (read_trace_bin's checksummed
+//     decode into a Trace vs CSV parsing).
 //
 // Acceptance bar (ISSUE 7): on the dense all-to-all — the degree-heaviest
 // pattern M(v) can produce, driven at bulk dummy-burst intensity so the
-// fold degrees carry the magnitudes a v = 2^12 streaming certification
+// fold degrees carry the magnitudes a v = 2^12 dense certification run
 // sees — the binary format is at least 4x smaller than the CSV. CSV pays
 // one decimal digit per order of magnitude in EVERY cell of EVERY
 // superstep line; the delta columns collapse repeated supersteps to
@@ -30,7 +30,6 @@
 #include "bench_common.hpp"
 #include "bsp/backend.hpp"
 #include "bsp/trace_io.hpp"
-#include "bsp/trace_store.hpp"
 #include "util/table.hpp"
 
 namespace nobl {
@@ -60,6 +59,11 @@ std::string to_bin(const Trace& trace) {
   std::ostringstream os;
   write_trace_bin(os, trace);
   return os.str();
+}
+
+Trace from_bin(const std::string& bin) {
+  std::istringstream in(bin);
+  return read_trace_bin(in);
 }
 
 /// Supersteps/second for one serialization or parse body, best of three
@@ -105,7 +109,7 @@ void size_and_throughput_table() {
       benchmark::DoNotOptimize(to_csv(trace).size());
     });
     const double bin_read = supersteps_per_second(ss, reps, [&] {
-      benchmark::DoNotOptimize(TraceReader::from_bytes(bin).total_messages());
+      benchmark::DoNotOptimize(from_bin(bin).total_messages());
     });
     const double csv_read = supersteps_per_second(ss, reps, [&] {
       std::istringstream in(csv);
@@ -182,9 +186,9 @@ void BM_ReadBinDense(benchmark::State& state) {
       dense_trace(static_cast<std::uint64_t>(state.range(0)), 64));
   std::int64_t supersteps = 0;
   for (auto _ : state) {
-    const TraceReader reader = TraceReader::from_bytes(bin);
-    supersteps = static_cast<std::int64_t>(reader.supersteps());
-    benchmark::DoNotOptimize(reader.total_messages());
+    const Trace trace = from_bin(bin);
+    supersteps = static_cast<std::int64_t>(trace.supersteps());
+    benchmark::DoNotOptimize(trace.total_messages());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           supersteps);

@@ -24,9 +24,9 @@
 //                     of [lower bound, predicted] for the O(·) kernels, so
 //                     silent formula drift becomes a CI failure.
 //
-// The degree checks take a TraceLike-independent Trace so they also apply to
-// traces deserialized from the binary store (where corruption, unlike
-// replay, can actually produce impossible degree vectors).
+// The degree checks take a Trace so they also apply to traces decoded from
+// the binary store (where corruption, unlike replay, can actually produce
+// impossible degree vectors).
 #pragma once
 
 #include <cstdint>

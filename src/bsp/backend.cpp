@@ -1,28 +1,6 @@
 #include "bsp/backend.hpp"
 
-#include "bsp/trace_store.hpp"
-
 namespace nobl {
-
-void CostBackend::stream_to(TraceWriter* writer) {
-  if (writer != nullptr && writer->log_v() != log_v()) {
-    throw std::invalid_argument(
-        "CostBackend::stream_to: writer log_v mismatch");
-  }
-  stream_ = writer;
-}
-
-void CostBackend::emit_record() {
-  if (stream_ != nullptr) {
-    // Streaming: the record is encoded into the writer's O(log v) state
-    // and record_'s buffers are reused next superstep — live trace state
-    // never grows with the superstep count.
-    stream_->append(record_);
-  } else {
-    trace_.append(std::move(record_));
-    record_ = SuperstepRecord{};
-  }
-}
 
 std::string to_string(BackendKind kind) {
   switch (kind) {

@@ -99,8 +99,6 @@ enum class BackendKind : std::uint8_t {
 /// Every backend, in declaration order (registry entries default to this).
 [[nodiscard]] const std::vector<BackendKind>& all_backend_kinds();
 
-class TraceWriter;
-
 /// How to execute one specification-model run: which backend interprets the
 /// program, and (for the simulating backend) which engine drives VP bodies.
 /// Implicitly constructible from an ExecutionPolicy, so `runner(n, policy)`
@@ -253,16 +251,6 @@ class CostBackend : public SuperstepDriver<CostBackend> {
   /// Hand the recorded trace out by move; the backend is spent afterwards.
   [[nodiscard]] Trace take_trace() && noexcept { return std::move(trace_); }
 
-  /// Stream mode: route every finalized superstep record into `writer`
-  /// (bsp/trace_store.hpp) instead of appending to the in-memory trace.
-  /// While streaming, trace() stays empty and the backend's live trace
-  /// state is O(log v) — one record plus the writer's previous-column
-  /// delta state — so arbitrarily long programs record in constant memory.
-  /// Pass nullptr to return to in-memory accumulation. The writer must
-  /// outlive every superstep driven after this call; its log_v must equal
-  /// the backend's.
-  void stream_to(TraceWriter* writer);
-
  protected:
   /// Derived backends route a non-null `capture` to record every event.
   void set_capture(Schedule* capture) noexcept { capture_ = capture; }
@@ -303,17 +291,12 @@ class CostBackend : public SuperstepDriver<CostBackend> {
 
   void close_superstep() {
     acc_.finalize_into(record_);
-    emit_record();
+    trace_.append(std::exchange(record_, SuperstepRecord{}));
   }
-
-  /// Out of line (backend.cpp): append record_ to the streaming writer when
-  /// one is attached, to the in-memory trace otherwise.
-  void emit_record();
 
   DegreeAccumulator acc_;
   Trace trace_;
   Schedule* capture_ = nullptr;
-  TraceWriter* stream_ = nullptr;
   SuperstepRecord record_;
 };
 

@@ -106,12 +106,6 @@ Trace read_trace_csv(std::istream& is) {
   return trace;
 }
 
-void write_trace_bin(std::ostream& os, const Trace& trace) {
-  TraceWriter writer(os, trace.log_v());
-  for (const auto& s : trace.steps()) writer.append(s);
-  writer.finish();
-}
-
 Trace read_trace_bin(std::istream& is) {
   std::ostringstream buffer;
   buffer << is.rdbuf();

@@ -1,7 +1,8 @@
 // Trace serialization: persist a recorded communication trace so a run on
 // the specification model can be archived, diffed, or re-analyzed
 // (H/D/wiseness are pure functions of the trace) without re-executing the
-// algorithm. Two formats share one in-memory Trace:
+// algorithm. Two formats share one in-memory Trace, and each has one writer
+// and one reader:
 //
 //   CSV — the human surface: header line `log_v,<value>`, then one line per
 //     superstep: label,messages,degree_0,degree_1,...,degree_logv
@@ -27,13 +28,14 @@ void write_trace_csv(std::ostream& os, const Trace& trace);
 /// offending line and column.
 [[nodiscard]] Trace read_trace_csv(std::istream& is);
 
-/// Serialize a trace in the binary columnar block format (streams through
-/// a TraceWriter; O(log v) live state regardless of trace length).
+/// Serialize a trace in the binary columnar block format, the one encoder
+/// (defined in trace_store.cpp beside its decoder). Throws
+/// std::invalid_argument when log_v exceeds the format's 63.
 void write_trace_bin(std::ostream& os, const Trace& trace);
 
-/// Parse a binary trace image. Throws std::invalid_argument on any format
-/// violation, carrying the byte offset. For files, prefer constructing a
-/// TraceReader directly — it mmaps instead of slurping.
+/// Read the rest of `is` and decode it through TraceReader::from_bytes.
+/// Throws std::invalid_argument on any format violation, carrying the byte
+/// offset.
 [[nodiscard]] Trace read_trace_bin(std::istream& is);
 
 }  // namespace nobl

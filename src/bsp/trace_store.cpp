@@ -1,16 +1,13 @@
 #include "bsp/trace_store.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <array>
 #include <cstring>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
-#include <utility>
+#include <vector>
+
+#include "bsp/trace_io.hpp"
 
 namespace nobl {
 namespace {
@@ -176,20 +173,62 @@ unsigned parse_header(Cursor& cursor) {
   return log_v;
 }
 
-/// Walk every block (and the footer) of an image whose header has already
-/// been parsed, invoking `fn` once per decoded superstep. Exactly one
-/// SuperstepRecord is live at any point; `*live_peak` (when non-null)
-/// records the instrumented maximum.
-void walk_blocks(const unsigned char* data, std::size_t size, unsigned log_v,
-                 const std::function<void(const SuperstepRecord&)>& fn,
-                 std::size_t* live_peak) {
-  Cursor cursor{data, size, kHeaderBytes};
-  SuperstepRecord record;
-  record.degree.assign(log_v + 1u, 0);
-  std::vector<std::uint64_t> prev(log_v + 1u, 0);
-  if (live_peak != nullptr) *live_peak = std::max<std::size_t>(*live_peak, 1);
-  std::uint64_t supersteps = 0;
-  std::uint64_t total_messages = 0;
+}  // namespace
+
+bool looks_like_trace_bin(const std::string& bytes) {
+  return bytes.size() >= 4 && std::memcmp(bytes.data(), kTraceBinMagic, 4) == 0;
+}
+
+// ---------------------------------------------------------------------------
+// Encoder
+
+void write_trace_bin(std::ostream& os, const Trace& trace) {
+  const unsigned log_v = trace.log_v();
+  if (log_v > 63) {
+    throw std::invalid_argument("write_trace_bin: log_v out of range");
+  }
+  // One scratch buffer, written out and reused per header, block and footer.
+  std::vector<unsigned char> scratch;
+  const auto emit = [&] {
+    os.write(reinterpret_cast<const char*>(scratch.data()),
+             static_cast<std::streamsize>(scratch.size()));
+    scratch.clear();
+  };
+  scratch.assign(std::begin(kTraceBinMagic), std::end(kTraceBinMagic));
+  put_u16(scratch, kTraceBinVersion);
+  put_u16(scratch, static_cast<std::uint16_t>(log_v));
+  put_u32(scratch, crc32(scratch.data(), scratch.size()));
+  emit();
+  const std::vector<std::uint64_t> zeros(log_v + 1u, 0);
+  const std::vector<std::uint64_t>* prev = &zeros;
+  for (const SuperstepRecord& step : trace.steps()) {
+    put_varint(scratch, step.label);
+    put_varint(scratch, step.messages);
+    for (unsigned j = 1; j <= log_v; ++j) {
+      put_varint(scratch, zigzag_encode(step.degree[j] - (*prev)[j]));
+    }
+    put_u32(scratch, crc32(scratch.data(), scratch.size()));
+    emit();
+    prev = &step.degree;
+  }
+  scratch.push_back(kFooterSentinel);
+  put_u64(scratch, trace.supersteps());
+  put_u64(scratch, trace.total_messages());
+  put_u32(scratch, crc32(scratch.data(), scratch.size()));
+  emit();
+}
+
+// ---------------------------------------------------------------------------
+// Decoder
+
+TraceReader TraceReader::from_bytes(std::string bytes) {
+  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+  const std::size_t size = bytes.size();
+  Cursor cursor{data, size, 0};
+  const unsigned log_v = parse_header(cursor);
+  Trace trace(log_v);
+  const std::vector<std::uint64_t> zeros(log_v + 1u, 0);
+  const std::vector<std::uint64_t>* prev = &zeros;
   for (;;) {
     if (cursor.pos >= size) cursor.fail("truncated file: missing footer");
     if (data[cursor.pos] == kFooterSentinel) break;
@@ -200,11 +239,13 @@ void walk_blocks(const unsigned char* data, std::size_t size, unsigned log_v,
       cursor.fail("superstep label " + std::to_string(label) +
                   " out of range in block");
     }
+    SuperstepRecord record;
     record.label = static_cast<unsigned>(label);
     record.messages = cursor.varint("block message count");
+    record.degree.assign(log_v + 1u, 0);
     for (unsigned j = 1; j <= log_v; ++j) {
       const std::uint64_t delta = zigzag_decode(cursor.varint("degree delta"));
-      record.degree[j] = prev[j] + delta;  // mod 2^64 by construction
+      record.degree[j] = (*prev)[j] + delta;  // mod 2^64 by construction
     }
     const std::size_t payload_end = cursor.pos;
     const std::uint32_t stored = cursor.u32("block checksum");
@@ -214,10 +255,8 @@ void walk_blocks(const unsigned char* data, std::size_t size, unsigned log_v,
       cursor.pos = block_start;
       cursor.fail("block checksum mismatch");
     }
-    std::copy(record.degree.begin(), record.degree.end(), prev.begin());
-    ++supersteps;
-    total_messages += record.messages;
-    fn(record);
+    trace.append(std::move(record));
+    prev = &trace.steps().back().degree;
   }
   const std::size_t footer_start = cursor.pos;
   cursor.u8("footer sentinel");
@@ -231,296 +270,20 @@ void walk_blocks(const unsigned char* data, std::size_t size, unsigned log_v,
     cursor.pos = footer_start;
     cursor.fail("footer checksum mismatch");
   }
-  if (footer_supersteps != supersteps) {
+  if (footer_supersteps != trace.supersteps()) {
     cursor.pos = footer_start;
     cursor.fail("footer superstep count " + std::to_string(footer_supersteps) +
-                " does not match the " + std::to_string(supersteps) +
+                " does not match the " + std::to_string(trace.supersteps()) +
                 " blocks read");
   }
-  if (footer_messages != total_messages) {
+  if (footer_messages != trace.total_messages()) {
     cursor.pos = footer_start;
     cursor.fail("footer message total mismatch");
   }
   if (cursor.pos != size) {
     cursor.fail("trailing bytes after footer");
   }
-}
-
-}  // namespace
-
-bool looks_like_trace_bin(const std::string& bytes) {
-  return bytes.size() >= 4 && std::memcmp(bytes.data(), kTraceBinMagic, 4) == 0;
-}
-
-// ---------------------------------------------------------------------------
-// TraceWriter
-
-TraceWriter::TraceWriter(std::ostream& os, unsigned log_v)
-    : os_(&os), log_v_(log_v) {
-  if (log_v > 63) {
-    throw std::invalid_argument("TraceWriter: log_v out of range");
-  }
-  prev_degree_.assign(log_v + 1u, 0);
-  scratch_.clear();
-  for (const unsigned char byte : kTraceBinMagic) scratch_.push_back(byte);
-  put_u16(scratch_, kTraceBinVersion);
-  put_u16(scratch_, static_cast<std::uint16_t>(log_v));
-  put_u32(scratch_, crc32(scratch_.data(), scratch_.size()));
-  os_->write(reinterpret_cast<const char*>(scratch_.data()),
-             static_cast<std::streamsize>(scratch_.size()));
-  bytes_ += scratch_.size();
-}
-
-TraceWriter::~TraceWriter() {
-  if (!finished_ && os_ != nullptr) {
-    try {
-      finish();
-    } catch (...) {
-      // A failing stream already carries the error in its state; never
-      // throw from a destructor.
-    }
-  }
-}
-
-void TraceWriter::append(const SuperstepRecord& record) {
-  if (finished_) {
-    throw std::logic_error("TraceWriter: append after finish");
-  }
-  if (record.degree.size() != static_cast<std::size_t>(log_v_) + 1) {
-    throw std::invalid_argument("TraceWriter: degree vector size mismatch");
-  }
-  if (record.label >= (log_v_ < 1 ? 1u : log_v_)) {
-    throw std::invalid_argument("TraceWriter: label out of range");
-  }
-  if (record.degree[0] != 0) {
-    throw std::invalid_argument("TraceWriter: nonzero degree at fold p=1");
-  }
-  scratch_.clear();
-  put_varint(scratch_, record.label);
-  put_varint(scratch_, record.messages);
-  for (unsigned j = 1; j <= log_v_; ++j) {
-    put_varint(scratch_, zigzag_encode(record.degree[j] - prev_degree_[j]));
-    prev_degree_[j] = record.degree[j];
-  }
-  put_u32(scratch_, crc32(scratch_.data(), scratch_.size()));
-  os_->write(reinterpret_cast<const char*>(scratch_.data()),
-             static_cast<std::streamsize>(scratch_.size()));
-  bytes_ += scratch_.size();
-  ++supersteps_;
-  total_messages_ += record.messages;
-}
-
-void TraceWriter::finish() {
-  if (finished_) return;
-  scratch_.clear();
-  scratch_.push_back(kFooterSentinel);
-  put_u64(scratch_, supersteps_);
-  put_u64(scratch_, total_messages_);
-  put_u32(scratch_, crc32(scratch_.data(), scratch_.size()));
-  os_->write(reinterpret_cast<const char*>(scratch_.data()),
-             static_cast<std::streamsize>(scratch_.size()));
-  bytes_ += scratch_.size();
-  finished_ = true;
-}
-
-std::size_t TraceWriter::resident_bytes() const noexcept {
-  return prev_degree_.capacity() * sizeof(std::uint64_t) +
-         scratch_.capacity() * sizeof(unsigned char);
-}
-
-// ---------------------------------------------------------------------------
-// TraceReader
-
-TraceReader::TraceReader(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    throw std::invalid_argument("TraceReader: cannot open \"" + path + "\"");
-  }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    throw std::invalid_argument("TraceReader: cannot stat \"" + path + "\"");
-  }
-  size_ = static_cast<std::size_t>(st.st_size);
-  if (size_ == 0) {
-    ::close(fd);
-    throw std::invalid_argument(
-        "binary trace: truncated header at byte 0 (empty file \"" + path +
-        "\")");
-  }
-  void* map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping keeps its own reference
-  if (map == MAP_FAILED) {
-    throw std::invalid_argument("TraceReader: cannot mmap \"" + path + "\"");
-  }
-  map_ = map;
-  map_size_ = size_;
-  data_ = static_cast<const unsigned char*>(map);
-  try {
-    build_index();
-  } catch (...) {
-    unmap();
-    throw;
-  }
-}
-
-TraceReader TraceReader::from_bytes(std::string bytes) {
-  TraceReader reader;
-  reader.owned_ = std::move(bytes);
-  reader.data_ = reinterpret_cast<const unsigned char*>(reader.owned_.data());
-  reader.size_ = reader.owned_.size();
-  reader.build_index();
-  return reader;
-}
-
-TraceReader::~TraceReader() { unmap(); }
-
-TraceReader::TraceReader(TraceReader&& other) noexcept
-    : owned_(std::move(other.owned_)),
-      map_(std::exchange(other.map_, nullptr)),
-      map_size_(std::exchange(other.map_size_, 0)),
-      size_(other.size_),
-      log_v_(other.log_v_),
-      supersteps_(other.supersteps_),
-      total_messages_(other.total_messages_),
-      max_label_(other.max_label_),
-      peak_live_blocks_(other.peak_live_blocks_),
-      label_F_(std::move(other.label_F_)),
-      label_peak_(std::move(other.label_peak_)),
-      label_S_(std::move(other.label_S_)),
-      cum_F_(std::move(other.cum_F_)),
-      cum_S_(std::move(other.cum_S_)) {
-  data_ = map_ != nullptr
-              ? static_cast<const unsigned char*>(map_)
-              : reinterpret_cast<const unsigned char*>(owned_.data());
-  other.data_ = nullptr;
-  other.size_ = 0;
-}
-
-TraceReader& TraceReader::operator=(TraceReader&& other) noexcept {
-  if (this == &other) return *this;
-  unmap();
-  owned_ = std::move(other.owned_);
-  map_ = std::exchange(other.map_, nullptr);
-  map_size_ = std::exchange(other.map_size_, 0);
-  size_ = other.size_;
-  log_v_ = other.log_v_;
-  supersteps_ = other.supersteps_;
-  total_messages_ = other.total_messages_;
-  max_label_ = other.max_label_;
-  peak_live_blocks_ = other.peak_live_blocks_;
-  label_F_ = std::move(other.label_F_);
-  label_peak_ = std::move(other.label_peak_);
-  label_S_ = std::move(other.label_S_);
-  cum_F_ = std::move(other.cum_F_);
-  cum_S_ = std::move(other.cum_S_);
-  data_ = map_ != nullptr
-              ? static_cast<const unsigned char*>(map_)
-              : reinterpret_cast<const unsigned char*>(owned_.data());
-  other.data_ = nullptr;
-  other.size_ = 0;
-  return *this;
-}
-
-void TraceReader::unmap() noexcept {
-  if (map_ != nullptr) {
-    ::munmap(map_, map_size_);
-    map_ = nullptr;
-    map_size_ = 0;
-  }
-}
-
-void TraceReader::build_index() {
-  Cursor cursor{data_, size_, 0};
-  log_v_ = parse_header(cursor);
-  const unsigned bound = label_bound();
-  const std::size_t folds = static_cast<std::size_t>(log_v_) + 1;
-  label_F_.assign(bound * folds, 0);
-  label_peak_.assign(bound * folds, 0);
-  label_S_.assign(bound, 0);
-  supersteps_ = 0;
-  total_messages_ = 0;
-  max_label_ = 0;
-  walk_blocks(
-      data_, size_, log_v_,
-      [&](const SuperstepRecord& record) {
-        const std::size_t base = record.label * folds;
-        ++label_S_[record.label];
-        for (std::size_t j = 0; j < folds; ++j) {
-          label_F_[base + j] += record.degree[j];
-          label_peak_[base + j] =
-              std::max(label_peak_[base + j], record.degree[j]);
-        }
-        ++supersteps_;
-        total_messages_ += record.messages;
-        max_label_ = std::max(max_label_, record.label);
-      },
-      &peak_live_blocks_);
-  cum_F_.assign((bound + 1) * folds, 0);
-  cum_S_.assign(bound + 1, 0);
-  for (unsigned i = 0; i < bound; ++i) {
-    cum_S_[i + 1] = cum_S_[i] + label_S_[i];
-    for (std::size_t j = 0; j < folds; ++j) {
-      cum_F_[(i + 1) * folds + j] =
-          cum_F_[i * folds + j] + label_F_[i * folds + j];
-    }
-  }
-}
-
-void TraceReader::check_log_p(unsigned log_p) const {
-  if (log_p > log_v_) {
-    throw std::out_of_range(
-        "TraceReader: fold larger than specification model");
-  }
-}
-
-std::uint64_t TraceReader::S(unsigned label) const {
-  return label < label_bound() ? label_S_[label] : 0;
-}
-
-std::uint64_t TraceReader::F(unsigned label, unsigned log_p) const {
-  check_log_p(log_p);
-  if (label >= label_bound()) return 0;
-  return label_F_[label * (static_cast<std::size_t>(log_v_) + 1) + log_p];
-}
-
-std::uint64_t TraceReader::total_F(unsigned log_p) const {
-  return partial_F(log_p, log_p);
-}
-
-std::uint64_t TraceReader::partial_F(unsigned label_bound,
-                                     unsigned log_p) const {
-  check_log_p(log_p);
-  const unsigned clamped = std::min(label_bound, this->label_bound());
-  return cum_F_[clamped * (static_cast<std::size_t>(log_v_) + 1) + log_p];
-}
-
-std::uint64_t TraceReader::total_S(unsigned log_p) const {
-  check_log_p(log_p);
-  return cum_S_[std::min(log_p, label_bound())];
-}
-
-std::uint64_t TraceReader::peak_degree(unsigned label, unsigned log_p) const {
-  check_log_p(log_p);
-  if (label >= label_bound()) return 0;
-  return label_peak_[label * (static_cast<std::size_t>(log_v_) + 1) + log_p];
-}
-
-void TraceReader::for_each_step(
-    const std::function<void(const SuperstepRecord&)>& fn) const {
-  walk_blocks(data_, size_, log_v_, fn, &peak_live_blocks_);
-}
-
-Trace TraceReader::materialize() const {
-  Trace trace(log_v_);
-  for_each_step([&](const SuperstepRecord& record) { trace.append(record); });
-  return trace;
-}
-
-std::size_t TraceReader::resident_bytes() const noexcept {
-  return (label_F_.capacity() + label_peak_.capacity() + label_S_.capacity() +
-          cum_F_.capacity() + cum_S_.capacity()) *
-         sizeof(std::uint64_t);
+  return TraceReader(std::move(trace));
 }
 
 }  // namespace nobl

@@ -16,10 +16,12 @@
 // check/threshold/conformance, 2 usage error.
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -222,20 +224,43 @@ int cmd_flags_dump() {
   return 0;
 }
 
+/// Read all of `path`. Uses stdio because ferror() tells a failed read
+/// (a directory, an I/O error) apart from the end of the file, which an
+/// ifstream reports alike.
 [[nodiscard]] std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::invalid_argument("cannot open \"" + path + "\"");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  std::string bytes;
+  if (file != nullptr) {
+    char chunk[1 << 16];
+    std::size_t got = 0;
+    while ((got = std::fread(chunk, 1, sizeof chunk, file.get())) > 0) {
+      bytes.append(chunk, got);
+    }
+  }
+  if (file == nullptr || std::ferror(file.get()) != 0) {
+    throw std::invalid_argument("cannot read \"" + path + "\"");
+  }
+  return bytes;
+}
+
+/// Write `path` through `write`, then close the file and check the stream:
+/// a full disk or an unwritable path fails here rather than reporting
+/// success.
+void write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& write) {
+  std::ofstream out(path, std::ios::binary);
+  if (out) write(out);
+  out.close();
+  if (!out) throw std::invalid_argument("cannot write \"" + path + "\"");
 }
 
 /// Load a trace from `path` in either format, sniffing the binary magic —
 /// the CLI treats CSV and binary traces interchangeably everywhere.
 [[nodiscard]] Trace load_trace_any(const std::string& path) {
-  const std::string bytes = read_file(path);
+  std::string bytes = read_file(path);
   if (looks_like_trace_bin(bytes)) {
-    return TraceReader::from_bytes(bytes).materialize();
+    return TraceReader::from_bytes(std::move(bytes)).materialize();
   }
   std::istringstream in(bytes);
   return read_trace_csv(in);
@@ -243,13 +268,13 @@ int cmd_flags_dump() {
 
 /// Serialize `trace` to `path` as CSV or binary.
 void save_trace(const std::string& path, const Trace& trace, bool binary) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::invalid_argument("cannot write \"" + path + "\"");
-  if (binary) {
-    write_trace_bin(out, trace);
-  } else {
-    write_trace_csv(out, trace);
-  }
+  write_file(path, [&](std::ostream& out) {
+    if (binary) {
+      write_trace_bin(out, trace);
+    } else {
+      write_trace_csv(out, trace);
+    }
+  });
 }
 
 /// Common flag set shared by run/certify/trace: campaign selection plus an
@@ -383,11 +408,9 @@ int cmd_run(const std::vector<std::string>& args) {
     if (json_path == "-") {
       write_campaign_json(std::cout, result);
     } else {
-      std::ofstream out(json_path, std::ios::binary);
-      if (!out) {
-        throw std::invalid_argument("cannot write \"" + json_path + "\"");
-      }
-      write_campaign_json(out, result);
+      write_file(json_path, [&](std::ostream& out) {
+        write_campaign_json(out, result);
+      });
     }
   }
   if (text || json_path.empty()) print_campaign_text(std::cout, result);
@@ -489,11 +512,9 @@ int cmd_certify(const std::vector<std::string>& args) {
     if (json_path == "-") {
       write_campaign_json(std::cout, result);
     } else {
-      std::ofstream out(json_path, std::ios::binary);
-      if (!out) {
-        throw std::invalid_argument("cannot write \"" + json_path + "\"");
-      }
-      write_campaign_json(out, result);
+      write_file(json_path, [&](std::ostream& out) {
+        write_campaign_json(out, result);
+      });
     }
   }
   return 0;
@@ -1035,11 +1056,7 @@ int cmd_serve(const std::vector<std::string>& args) {
       std::cout << doc;
       return;
     }
-    std::ofstream out(json_path, std::ios::binary);
-    if (!out) {
-      throw std::invalid_argument("cannot write \"" + json_path + "\"");
-    }
-    out << doc;
+    write_file(json_path, [&](std::ostream& out) { out << doc; });
   };
 
   if (ping) {

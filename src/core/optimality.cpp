@@ -5,14 +5,12 @@
 #include <limits>
 #include <stdexcept>
 
-#include "bsp/trace_store.hpp"
 #include "core/wiseness.hpp"
 #include "util/bits.hpp"
 
 namespace nobl {
 
-template <typename TraceLike>
-OptimalityReport certify_optimality(const TraceLike& trace, std::uint64_t n,
+OptimalityReport certify_optimality(const Trace& trace, std::uint64_t n,
                                     unsigned log_p,
                                     const LowerBoundFn& lower_bound,
                                     std::span<const double> sigmas) {
@@ -42,14 +40,6 @@ OptimalityReport certify_optimality(const TraceLike& trace, std::uint64_t n,
   report.beta_at_p = h_p > 0 ? lower_bound(n, report.p, 0.0) / h_p : 0.0;
   return report;
 }
-
-// Explicit instantiations: the in-memory Trace and the mmap-backed reader.
-template OptimalityReport certify_optimality<Trace>(
-    const Trace&, std::uint64_t, unsigned, const LowerBoundFn&,
-    std::span<const double>);
-template OptimalityReport certify_optimality<TraceReader>(
-    const TraceReader&, std::uint64_t, unsigned, const LowerBoundFn&,
-    std::span<const double>);
 
 double dbsp_lower_bound(const LowerBoundFn& lower_bound, std::uint64_t n,
                         const DbspParams& params) {

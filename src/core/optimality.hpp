@@ -43,12 +43,8 @@ struct OptimalityReport {
 /// Measure α, γ and β for a trace against a lower bound, sweeping folds
 /// 2^1..2^log_p and the given σ grid (σ values for which the algorithm is
 /// supposed to be β-optimal; pass the range the relevant theorem states).
-/// Templated over any TraceLike with Trace's cumulative-query surface;
-/// instantiated in optimality.cpp for Trace and the mmap-backed
-/// TraceReader, so binary golden files certify without materializing.
-template <typename TraceLike>
 [[nodiscard]] OptimalityReport certify_optimality(
-    const TraceLike& trace, std::uint64_t n, unsigned log_p,
+    const Trace& trace, std::uint64_t n, unsigned log_p,
     const LowerBoundFn& lower_bound, std::span<const double> sigmas);
 
 /// D-BSP communication-time lower bound implied by an H-lower-bound via

@@ -15,23 +15,16 @@
 
 namespace nobl {
 
-// Templates over any TraceLike exposing Trace's cumulative-query surface;
-// explicitly instantiated in wiseness.cpp for Trace and the mmap-backed
-// TraceReader (bsp/trace_store.hpp).
-
 /// Largest α such that the trace is (α, 2^log_p)-wise. Lemma 3.1 guarantees
 /// the result is <= 1 (up to vacuous folds, for which we report 1).
-template <typename TraceLike>
-[[nodiscard]] double wiseness_alpha(const TraceLike& trace, unsigned log_p);
+[[nodiscard]] double wiseness_alpha(const Trace& trace, unsigned log_p);
 
 /// Largest γ such that the trace is (γ, 2^log_p)-full.
-template <typename TraceLike>
-[[nodiscard]] double fullness_gamma(const TraceLike& trace, unsigned log_p);
+[[nodiscard]] double fullness_gamma(const Trace& trace, unsigned log_p);
 
 /// True iff Lemma 3.1 holds for every fold j <= log_p (it must, for traces
 /// produced by the simulator; exposed for property tests on synthetic traces).
-template <typename TraceLike>
-[[nodiscard]] bool folding_inequality_holds(const TraceLike& trace,
+[[nodiscard]] bool folding_inequality_holds(const Trace& trace,
                                             unsigned log_p);
 
 }  // namespace nobl

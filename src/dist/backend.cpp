@@ -4,15 +4,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include <signal.h>
 #include <sys/wait.h>
-
-#include "bsp/trace_store.hpp"
 
 namespace nobl::dist {
 namespace {
@@ -209,11 +206,7 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
       });
   Reaper reaper(links);
 
-  // The merged trace streams through the binary columnar writer into an
-  // in-memory .nbt image and is materialized back through TraceReader: the
-  // trace store is the measured-trace wire format by construction.
-  std::ostringstream wire;
-  TraceWriter writer(wire, log_v);
+  Trace trace(log_v);
   DegreeAccumulator acc(log_v);
   std::vector<double> superstep_ms;
   std::uint8_t header[kHeaderBytes] = {};
@@ -296,7 +289,7 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
     if (done) break;
 
     acc.finalize_into(record);
-    writer.append(record);
+    trace.append(std::move(record));
     superstep_ms.push_back(ms_since(step_start));
     if (capture != nullptr) captured.steps.push_back(std::move(merged));
 
@@ -308,7 +301,6 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
   }
 
   reaper.reap();
-  writer.finish();
   if (capture != nullptr) *capture = std::move(captured);
   if (measure != nullptr) {
     measure->superstep_ms = std::move(superstep_ms);
@@ -316,7 +308,7 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
     measure->workers = static_cast<unsigned>(workers);
     measure->transport = config.transport;
   }
-  return TraceReader::from_bytes(std::move(wire).str()).materialize();
+  return trace;
 }
 
 }  // namespace nobl::dist

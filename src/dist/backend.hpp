@@ -14,10 +14,8 @@
 // bit-identical to every in-process backend by construction (pinned by
 // tests/dist/test_distributed.cpp for all registry kernels).
 //
-// The merged per-superstep records stream through TraceWriter into an
-// in-memory .nbt image and are materialized back through TraceReader: the
-// binary columnar trace store is the wire/upload format for measured
-// traces, as on a real remote deployment.
+// The coordinator appends each merged superstep record to the Trace it
+// returns.
 //
 // Wall-clock is measured by the coordinator per superstep (worker compute
 // + transport + merge) and surfaces through Measurement as the

@@ -78,10 +78,10 @@ std::shared_ptr<const Trace> ResultCache::load_from_disk(
   std::error_code ec;
   if (!std::filesystem::exists(path, ec) || ec) return nullptr;
   try {
-    // Every block CRC is re-verified by the reader's indexing pass, so a
-    // bit-rotted entry can never be served — it falls through to recompute.
-    return std::make_shared<const Trace>(
-        TraceReader(path.string()).materialize());
+    // The decoder re-verifies every block CRC, so a bit-rotted entry can
+    // never be served — it falls through to recompute.
+    std::ifstream in(path, std::ios::binary);
+    return std::make_shared<const Trace>(read_trace_bin(in));
   } catch (const std::exception&) {
     return nullptr;
   }

@@ -17,7 +17,7 @@
 //
 //     <kernel>_n<N>_<backend>-<fnv1a64(key) as 16 hex digits>.nbt
 //
-//   A hit on a cold restart replays the file through TraceReader (every
+//   A hit on a cold restart decodes the file through read_trace_bin (every
 //   block CRC re-verified) instead of re-executing the kernel; a corrupt
 //   or truncated file is treated as a miss and transparently re-written.
 //   Stores are atomic and durable (unique pid+sequence temp name, fsync,
@@ -63,7 +63,7 @@ struct CacheKey {
 /// Which tier answered a cell.
 enum class CacheTier : std::uint8_t {
   kMemory,     ///< in-memory LRU hit
-  kDisk,       ///< .nbt replay through TraceReader
+  kDisk,       ///< .nbt decode through read_trace_bin
   kExecuted,   ///< miss in both tiers: the kernel ran
   kCoalesced,  ///< waited on an identical in-flight cell
 };

@@ -1,27 +1,17 @@
 // The binary columnar trace store (bsp/trace_store.hpp): lossless
-// round-trips, the Trace-identical query surface of the mmap reader, the
-// fuzz-style negative contract (every truncation and corruption throws
-// invalid_argument with a byte offset; random mutations never crash), and
-// the streaming-residency demonstration — a v = 2^12 dense all-to-all
-// recorded through CostBackend::stream_to whose file exceeds the in-memory
-// cap while writer, reader index and live-block count all stay under it.
+// encode/decode round-trips, the encoder's log_v limit, and the fuzz-style
+// negative contract of the decoder (every truncation and corruption throws
+// invalid_argument with a byte offset; random mutations never crash).
 #include "bsp/trace_store.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "bsp/backend.hpp"
-#include "bsp/cost.hpp"
 #include "bsp/machine.hpp"
 #include "bsp/trace_io.hpp"
-#include "core/optimality.hpp"
-#include "core/wiseness.hpp"
 
 namespace nobl {
 namespace {
@@ -43,49 +33,23 @@ std::string encode(const Trace& trace) {
   return std::move(os).str();
 }
 
-void expect_reader_matches_trace(const TraceReader& reader,
-                                 const Trace& trace) {
-  ASSERT_EQ(reader.log_v(), trace.log_v());
-  EXPECT_EQ(reader.supersteps(), trace.supersteps());
-  EXPECT_EQ(reader.total_messages(), trace.total_messages());
-  EXPECT_EQ(reader.max_label(), trace.max_label());
-  EXPECT_EQ(reader.label_bound(), trace.label_bound());
-  for (unsigned label = 0; label <= trace.label_bound(); ++label) {
-    EXPECT_EQ(reader.S(label), trace.S(label)) << "label " << label;
-    for (unsigned j = 0; j <= trace.log_v(); ++j) {
-      EXPECT_EQ(reader.F(label, j), trace.F(label, j))
-          << "label " << label << " fold " << j;
-      EXPECT_EQ(reader.peak_degree(label, j), trace.peak_degree(label, j))
-          << "label " << label << " fold " << j;
-      EXPECT_EQ(reader.partial_F(label, j), trace.partial_F(label, j))
-          << "label " << label << " fold " << j;
-    }
+void expect_same_trace(const Trace& decoded, const Trace& trace) {
+  ASSERT_EQ(decoded.log_v(), trace.log_v());
+  ASSERT_EQ(decoded.supersteps(), trace.supersteps());
+  EXPECT_EQ(decoded.total_messages(), trace.total_messages());
+  EXPECT_EQ(decoded.max_label(), trace.max_label());
+  for (std::size_t s = 0; s < trace.supersteps(); ++s) {
+    EXPECT_EQ(decoded.steps()[s].label, trace.steps()[s].label);
+    EXPECT_EQ(decoded.steps()[s].messages, trace.steps()[s].messages);
+    EXPECT_EQ(decoded.steps()[s].degree, trace.steps()[s].degree);
   }
-  for (unsigned j = 0; j <= trace.log_v(); ++j) {
-    EXPECT_EQ(reader.total_F(j), trace.total_F(j)) << "fold " << j;
-    EXPECT_EQ(reader.total_S(j), trace.total_S(j)) << "fold " << j;
-  }
-  EXPECT_THROW((void)reader.total_F(trace.log_v() + 1), std::out_of_range);
-  EXPECT_THROW((void)reader.peak_degree(0, trace.log_v() + 1),
-               std::out_of_range);
 }
 
-TEST(TraceStore, WriterReaderRoundTripMatchesTraceQueries) {
+TEST(TraceStore, WriterReaderRoundTripIsLossless) {
   const Trace trace = sample_trace();
   const std::string bytes = encode(trace);
   EXPECT_TRUE(looks_like_trace_bin(bytes));
-  const TraceReader reader = TraceReader::from_bytes(bytes);
-  expect_reader_matches_trace(reader, trace);
-
-  // Full-fidelity decode too, not just the cumulative tables.
-  const Trace materialized = reader.materialize();
-  ASSERT_EQ(materialized.supersteps(), trace.supersteps());
-  for (std::size_t s = 0; s < trace.supersteps(); ++s) {
-    EXPECT_EQ(materialized.steps()[s].label, trace.steps()[s].label);
-    EXPECT_EQ(materialized.steps()[s].messages, trace.steps()[s].messages);
-    EXPECT_EQ(materialized.steps()[s].degree, trace.steps()[s].degree);
-  }
-  EXPECT_EQ(reader.peak_live_blocks(), 1u);
+  expect_same_trace(TraceReader::from_bytes(bytes).materialize(), trace);
 }
 
 TEST(TraceStore, EmptyTraceAndDegenerateLogVRoundTrip) {
@@ -97,77 +61,16 @@ TEST(TraceStore, EmptyTraceAndDegenerateLogVRoundTrip) {
       r.degree.assign(1, 0);
       trace.append(std::move(r));
     }
-    const TraceReader reader = TraceReader::from_bytes(encode(trace));
-    expect_reader_matches_trace(reader, trace);
+    expect_same_trace(TraceReader::from_bytes(encode(trace)).materialize(),
+                      trace);
   }
 }
 
-TEST(TraceStore, MmapReaderServesFilesAndCertifiesIdentically) {
-  const Trace trace = sample_trace();
-  const std::string path = ::testing::TempDir() + "trace_store_roundtrip.nbt";
-  {
-    std::ofstream out(path, std::ios::binary);
-    write_trace_bin(out, trace);
-  }
-  const TraceReader reader(path);
-  expect_reader_matches_trace(reader, trace);
-  EXPECT_GT(reader.file_bytes(), 0u);
-
-  // The templated analysis surface runs off the reader directly.
-  for (unsigned log_p = 1; log_p <= trace.log_v(); ++log_p) {
-    EXPECT_DOUBLE_EQ(communication_complexity(reader, log_p, 1.5),
-                     communication_complexity(trace, log_p, 1.5));
-    EXPECT_DOUBLE_EQ(wiseness_alpha(reader, log_p),
-                     wiseness_alpha(trace, log_p));
-    EXPECT_DOUBLE_EQ(fullness_gamma(reader, log_p),
-                     fullness_gamma(trace, log_p));
-    EXPECT_EQ(folding_inequality_holds(reader, log_p),
-              folding_inequality_holds(trace, log_p));
-  }
-  const auto lb = [](std::uint64_t n, std::uint64_t, double) {
-    return static_cast<double>(n);
-  };
-  const std::vector<double> sigmas{0.0, 1.0};
-  const OptimalityReport from_reader =
-      certify_optimality(reader, 16, trace.log_v(), lb, sigmas);
-  const OptimalityReport from_trace =
-      certify_optimality(trace, 16, trace.log_v(), lb, sigmas);
-  EXPECT_DOUBLE_EQ(from_reader.alpha, from_trace.alpha);
-  EXPECT_DOUBLE_EQ(from_reader.gamma, from_trace.gamma);
-  EXPECT_DOUBLE_EQ(from_reader.beta_min, from_trace.beta_min);
-  std::remove(path.c_str());
-}
-
-TEST(TraceStore, MissingFileThrows) {
-  EXPECT_THROW(TraceReader("/nonexistent/definitely_not_a_trace.nbt"),
-               std::invalid_argument);
-}
-
-TEST(TraceStore, WriterEnforcesTraceAppendInvariants) {
+TEST(TraceStore, EncoderRejectsLogVAbove63) {
+  // Trace(64) is constructible, but the header stores log_v <= 63, like the
+  // CSV header rule.
   std::ostringstream os(std::ios::binary);
-  TraceWriter writer(os, 3);
-  SuperstepRecord good;
-  good.label = 1;
-  good.degree.assign(4, 0);
-  writer.append(good);
-
-  SuperstepRecord wrong_size = good;
-  wrong_size.degree.assign(3, 0);
-  EXPECT_THROW(writer.append(wrong_size), std::invalid_argument);
-  SuperstepRecord bad_label = good;
-  bad_label.label = 3;  // label_bound = log_v = 3
-  EXPECT_THROW(writer.append(bad_label), std::invalid_argument);
-  SuperstepRecord self_traffic = good;
-  self_traffic.degree[0] = 1;
-  EXPECT_THROW(writer.append(self_traffic), std::invalid_argument);
-
-  writer.finish();
-  writer.finish();  // idempotent
-  EXPECT_THROW(writer.append(good), std::logic_error);
-  EXPECT_EQ(writer.supersteps(), 1u);
-  // Rejecting log_v > 63 mirrors the CSV header rule.
-  std::ostringstream other(std::ios::binary);
-  EXPECT_THROW(TraceWriter(other, 64), std::invalid_argument);
+  EXPECT_THROW(write_trace_bin(os, Trace(64)), std::invalid_argument);
 }
 
 // --- the fuzz-style negative contract -------------------------------------
@@ -240,11 +143,11 @@ TEST(TraceStore, RandomByteMutationsNeverCrash) {
     std::string mutated = bytes;
     mutated[pos(rng)] = static_cast<char>(value(rng));
     try {
-      const TraceReader reader = TraceReader::from_bytes(mutated);
+      const Trace decoded = TraceReader::from_bytes(mutated).materialize();
       // A mutation may survive (e.g. hitting a byte with its own CRC also
       // mutated is impossible here, but the identity mutation is) — the
-      // reader must still be fully usable.
-      (void)reader.total_F(reader.log_v());
+      // decoded trace must still be fully usable.
+      (void)decoded.total_F(decoded.log_v());
     } catch (const std::invalid_argument&) {
       ++rejected;
     }
@@ -254,75 +157,6 @@ TEST(TraceStore, RandomByteMutationsNeverCrash) {
   // The checksums make silent acceptance of a real flip essentially
   // impossible; only trials that overwrite a byte with itself may pass.
   EXPECT_GE(rejected, 350u);
-}
-
-// --- streaming residency: the never-fits-in-RAM demonstration -------------
-
-TEST(TraceStore, StreamedDenseAllToAllStaysUnderMemoryCap) {
-  // v = 2^12: one dense all-to-all superstep (2^24 messages) followed by
-  // enough constant-XOR shift rounds that the trace *file* outgrows the
-  // configured in-memory cap, while every live-state instrument stays
-  // under it: the writer's encoder state, the reader's index, and the
-  // decoded-block counter. This is the acceptance demonstration that
-  // golden certification scales to traces that never fit in RAM.
-  constexpr std::size_t kMemoryCapBytes = 16 * 1024;
-  constexpr unsigned kLogV = 12;
-  const std::uint64_t v = std::uint64_t{1} << kLogV;
-
-  const std::string path = ::testing::TempDir() + "streamed_dense.nbt";
-  std::uint64_t writer_resident = 0;
-  {
-    std::ofstream out(path, std::ios::binary);
-    TraceWriter writer(out, kLogV);
-    CostBackend backend(v);
-    backend.stream_to(&writer);
-    backend.superstep(0, [v](auto& vp) {
-      for (std::uint64_t dst = 0; dst < v; ++dst) vp.send_dummy(dst, 1);
-    });
-    for (unsigned round = 0; round < 1200; ++round) {
-      const std::uint64_t d = (round % (v - 1)) + 1;
-      backend.superstep(0, [d](auto& vp) { vp.send_dummy(vp.id() ^ d, 1); });
-    }
-    // Streaming means the backend's in-memory trace never grew.
-    EXPECT_EQ(backend.trace().supersteps(), 0u);
-    writer_resident = writer.resident_bytes();
-    EXPECT_LT(writer_resident, kMemoryCapBytes);
-    writer.finish();
-    EXPECT_EQ(writer.supersteps(), 1201u);
-  }
-
-  const TraceReader reader(path);
-  EXPECT_GT(reader.file_bytes(), kMemoryCapBytes)
-      << "the streamed trace file must exceed the in-memory cap";
-  EXPECT_LT(reader.resident_bytes(), kMemoryCapBytes)
-      << "the reader's index must stay O(log^2 v), under the cap";
-  EXPECT_EQ(reader.peak_live_blocks(), 1u)
-      << "at most one decoded block may ever be live";
-  EXPECT_EQ(reader.supersteps(), 1201u);
-
-  // Certify off the mmap reader and pin a few exactly-known quantities:
-  // the dense superstep contributes (v/2^j)(v - v/2^j) at fold j, each
-  // shift round v/2^j on folds its XOR crosses — checked against an
-  // in-memory reference accumulation of the same program at the top fold.
-  CostBackend reference(v);
-  reference.superstep(0, [v](auto& vp) {
-    for (std::uint64_t dst = 0; dst < v; ++dst) vp.send_dummy(dst, 1);
-  });
-  for (unsigned round = 0; round < 1200; ++round) {
-    const std::uint64_t d = (round % (v - 1)) + 1;
-    reference.superstep(0, [d](auto& vp) { vp.send_dummy(vp.id() ^ d, 1); });
-  }
-  const Trace& expected = reference.trace();
-  EXPECT_EQ(reader.total_messages(), expected.total_messages());
-  for (unsigned log_p = 1; log_p <= kLogV; ++log_p) {
-    EXPECT_EQ(reader.total_F(log_p), expected.total_F(log_p))
-        << "fold " << log_p;
-    EXPECT_EQ(reader.total_S(log_p), expected.total_S(log_p))
-        << "fold " << log_p;
-    EXPECT_DOUBLE_EQ(communication_complexity(reader, log_p, 2.0),
-                     communication_complexity(expected, log_p, 2.0));
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

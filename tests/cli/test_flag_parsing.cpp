@@ -1,13 +1,17 @@
-// Negative-path coverage for numeric and distributed-backend flags.
+// Negative-path coverage for numeric and distributed-backend flags, and
+// for the files the CLI reads and writes.
 // Regression: --n / --workers / --queue / --memory-entries went through
 // bare std::stoull/std::stoul, so "12x" silently truncated to 12 and
 // "banana" died with an unhandled std::invalid_argument("stoull") that
 // named no flag at all. Every malformed value must now exit 2 with a
-// message naming the flag and the rejected value. Runs the shipped binary
-// (NOBL_CLI_PATH), like the help-drift suite.
+// message naming the flag and the rejected value. Likewise a write that
+// fails (a full device) or a read that fails (a directory, a missing file)
+// must exit 2 and name the path, not report success or blame the content.
+// Runs the shipped binary (NOBL_CLI_PATH), like the help-drift suite.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <sys/wait.h>
 
@@ -84,6 +88,42 @@ TEST(FlagParsing, CheckTransportRequiresGoldenMode) {
   const CommandOutput out = run_cli("check --transport tcp");
   EXPECT_EQ(out.exit_code, 2);
   EXPECT_NE(out.text.find("--golden"), std::string::npos);
+}
+
+void expect_path_error(const std::string& args, const std::string& what,
+                       const std::string& path) {
+  const CommandOutput out = run_cli(args);
+  EXPECT_EQ(out.exit_code, 2) << args << "\n" << out.text;
+  const std::string expected = what + " \"" + path + "\"";
+  EXPECT_NE(out.text.find(expected), std::string::npos)
+      << "`" << args << "` must report " << expected << ", got: " << out.text;
+}
+
+TEST(FlagParsing, FailedWritesExitTwoAndNameThePath) {
+  const std::string input = ::testing::TempDir() + "flag_parsing_input.csv";
+  {
+    std::ofstream out(input);
+    out << "log_v,1\n0,2,0,1\n";
+  }
+  expect_path_error("convert " + input + " /dev/full", "cannot write",
+                    "/dev/full");
+  expect_path_error("convert --to bin " + input + " /dev/full",
+                    "cannot write", "/dev/full");
+  expect_path_error("run --campaign golden --backend cost --quiet --json "
+                    "/dev/full",
+                    "cannot write", "/dev/full");
+  std::remove(input.c_str());
+}
+
+TEST(FlagParsing, FailedReadsExitTwoAndNameThePath) {
+  const std::string output = ::testing::TempDir() + "flag_parsing_out.csv";
+  const std::string missing = ::testing::TempDir() + "flag_parsing_absent";
+  for (const std::string& path : {::testing::TempDir(), missing}) {
+    expect_path_error("convert " + path + " " + output, "cannot read", path);
+    expect_path_error("run --spec " + path, "cannot read", path);
+    expect_path_error("check --results " + path, "cannot read", path);
+  }
+  std::remove(output.c_str());
 }
 
 }  // namespace

@@ -100,11 +100,13 @@ TEST_P(GoldenTraceTest, ParsedTraceRecertifiesIdentically) {
     const Trace archived = read_trace_csv(in);
     const Trace live = entry.runner(n, ExecutionPolicy::sequential());
 
-    // The binary twin must decode — through the mmap-style reader — to
-    // exactly the trace the CSV archive carries.
-    const TraceReader twin = TraceReader::from_bytes(
-        read_file(golden_path(entry.name, n, kTraceBinExtension)));
-    EXPECT_EQ(serialize(twin.materialize()), serialize(archived))
+    // The binary twin must decode to exactly the trace the CSV archive
+    // carries.
+    const Trace twin =
+        TraceReader::from_bytes(
+            read_file(golden_path(entry.name, n, kTraceBinExtension)))
+            .materialize();
+    EXPECT_EQ(serialize(twin), serialize(archived))
         << entry.name << " n=" << n << ": csv/binary twins disagree";
 
     ASSERT_EQ(archived.log_v(), live.log_v());
