@@ -7,17 +7,16 @@
 //   cost      DegreeAccumulator bucketing only (no payloads, no delivery)
 //   record    cost + schedule capture (one event per send)
 //
-// plus the ISSUE 6 cost-optimizer path: the recorded schedule is classified
-// and fused once (bsp/ir_opt.hpp), and every subsequent query replays bulk
+// plus the schedule optimizer: the recorded schedule is classified and
+// fused once (bsp/ir_opt.hpp), and every subsequent replay walks bulk
 // records in O(supersteps · log v) instead of O(v²) events.
 //
 // Acceptance bars: the cost backend sustains >= 3x the simulate backend's
-// messages/second on the dense all-to-all at v = 64 (ISSUE 5), and the
-// fused replay sustains >= 10x (ISSUE 6). The registry half then times one
-// full `nobl certify`-shaped trace per kernel under simulate vs cost, and
-// the analytic table runs a 100-point (n, σ) certify-style sweep through
-// the memoizing analytic backend — the amortization a threshold-gated
-// campaign sees end to end.
+// messages/second on the dense all-to-all at v = 64, and the fused replay
+// sustains >= 10x. The registry half then times one full
+// `nobl certify`-shaped trace per kernel under simulate vs cost, and the
+// analytic table runs a 100-point (n, σ) certify-style sweep through the
+// analytic backend (closed forms, else the cost interpreter).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -31,7 +30,6 @@
 #include "bsp/cost.hpp"
 #include "bsp/ir_opt.hpp"
 #include "bsp/machine.hpp"
-#include "core/analytic.hpp"
 #include "util/bits.hpp"
 #include "util/table.hpp"
 
@@ -82,9 +80,8 @@ double messages_per_second(std::uint64_t v, unsigned reps,
   return best;
 }
 
-/// The fused-replay path: record + optimize once (outside the timer — that
-/// cost is paid exactly once per (kernel, n) by the memo cache), then time
-/// pure replays of the bulk records.
+/// The fused-replay path: record + optimize once (outside the timer), then
+/// time pure replays of the bulk records.
 double fused_replay_rate_once(const OptimizedSchedule& optimized,
                               unsigned reps) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -146,15 +143,14 @@ void backend_storm_table() {
   std::cout << t;
 }
 
-/// The ISSUE 6 amortization story: a certify-style sweep of >= 100 (n, σ)
-/// points answered entirely by the analytic backend — closed forms for the
-/// exact kernels, one recorded+fused schedule per (kernel, n) for the rest
-/// — evaluating the full fold × σ H surface per point. Acceptance: the
-/// whole sweep completes in under one second.
+/// A certify-style sweep of >= 100 (n, σ) points answered entirely by the
+/// analytic backend — closed forms for the exact kernels, the cost
+/// interpreter for the rest — evaluating the full fold × σ H surface per
+/// point. Acceptance: the whole sweep completes in under one second.
 void analytic_sweep_table() {
-  AnalyticBackend::instance().clear();
   const std::vector<double> sigmas{0.0, 0.5, 1.0, 2.0, 4.0};
   std::size_t points = 0;
+  std::size_t closed_form = 0;
   double h_checksum = 0.0;
   const auto t0 = std::chrono::steady_clock::now();
   for (const AlgoEntry& entry : AlgoRegistry::instance().entries()) {
@@ -165,24 +161,21 @@ void analytic_sweep_table() {
           h_checksum += communication_complexity(trace, log_p, sigma);
         }
         ++points;
+        if (entry.analytic != nullptr) ++closed_form;
       }
     }
   }
   benchmark::DoNotOptimize(h_checksum);
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
-  const AnalyticBackend::Stats stats = AnalyticBackend::instance().stats();
   Table t("analytic certify sweep: full fold x sigma H surface per point",
-          {"(n, sigma) points", "seconds", "points/s", "symbolic",
-           "memo miss", "memo hit", "cost fallback"});
+          {"(n, sigma) points", "seconds", "points/s", "closed form", "cost"});
   t.row()
       .add(points)
       .add(dt.count())
       .add(static_cast<double>(points) / dt.count())
-      .add(stats.symbolic)
-      .add(stats.memo_misses)
-      .add(stats.memo_hits)
-      .add(stats.fallbacks);
+      .add(closed_form)
+      .add(points - closed_form);
   std::cout << t;
 }
 

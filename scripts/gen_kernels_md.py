@@ -38,9 +38,7 @@ def analytic_dispatch(algo):
     """How the analytic backend answers an H query for this kernel."""
     if algo["exact_h"]:
         return "closed-form synthesis"
-    if algo["input_independent"]:
-        return "memoized fused schedule"
-    return "cost-interpreter fallback"
+    return "cost interpreter"
 
 
 def sizes(values):
@@ -86,13 +84,9 @@ def render(doc):
     out.append("")
     out.append("All kernels run under all {} backends (`{}`); the *analytic*".format(
         len(algos[0]["backends"]), ", ".join(algos[0]["backends"])))
-    out.append("dispatch column says which of its three strategies answers the query")
-    out.append("(see [ARCHITECTURE.md](ARCHITECTURE.md) and `src/core/analytic.hpp`).")
-    out.append("Kernels marked `memoized fused schedule` are input-independent: their")
-    out.append("communication pattern at a given n is a static property, so one")
-    out.append("recorded schedule — classified and fused by `src/bsp/ir_opt.hpp` —")
-    out.append("answers every (fold, σ) query. The data-dependent kernel is refused by")
-    out.append("the memo cache and re-executed under the cost interpreter instead.")
+    out.append("dispatch column says which of its two paths answers the query: closed")
+    out.append("form, else the cost interpreter (see [ARCHITECTURE.md](ARCHITECTURE.md)")
+    out.append("and `src/core/analytic.hpp`).")
     out.append("")
     out.append("## Builtin campaigns\n")
     for name in doc["campaigns"]:

@@ -69,13 +69,11 @@ namespace nobl {
 
 /// Backend selector carried by CLIs, campaign specs and registry runners.
 ///
-/// kAnalytic is the cost-optimizer path (core/analytic.hpp): registry
-/// runners answer it without executing the program — symbolically for
-/// kernels whose closed form is exact, via a memoized record-once /
-/// replay-many schedule cache for the other input-independent kernels, and
-/// by falling back to kCost for data-dependent kernels (samplesort). It is
-/// dispatched in the registry layer; run_for_trace itself rejects it
-/// because a bare program carries no closed form.
+/// kAnalytic is "closed form, else cost" (core/analytic.hpp): registry
+/// runners answer it symbolically for kernels whose closed form is exact
+/// and run every other kernel under kCost. It is dispatched in the
+/// registry layer; run_for_trace itself rejects it because a bare program
+/// carries no closed form.
 ///
 /// kDistributed executes the program on real forked worker processes (one
 /// per VP cluster; dist/backend.hpp), merging per-superstep event blocks
@@ -107,10 +105,10 @@ struct RunOptions {
   ExecutionPolicy policy{};
   BackendKind backend = BackendKind::kSimulate;
   /// When non-null and backend == kRecord or kDistributed, run_for_trace
-  /// copies the captured Schedule here — the seam the analytic memo cache
-  /// uses to lift a kernel's communication pattern out of one recorded run,
-  /// and the seam the distributed conformance tests use to compare merged
-  /// event streams against RecordBackend.
+  /// copies the captured Schedule here — the seam `nobl audit` uses to lift
+  /// a kernel's communication pattern out of one recorded run, and the
+  /// seam the distributed conformance tests use to compare merged event
+  /// streams against RecordBackend.
   Schedule* capture = nullptr;
   /// kDistributed only: worker count and transport.
   dist::DistConfig dist{};
@@ -371,8 +369,8 @@ template <typename Payload, typename ProgramFn>
     }
     case BackendKind::kAnalytic:
       // Only the registry layer can answer analytically: it knows the
-      // kernel's closed form and input-independence flag. A bare program
-      // reaching this point is a plumbing error, not a user error.
+      // kernel's closed form. A bare program reaching this point is a
+      // plumbing error, not a user error.
       throw std::invalid_argument(
           "run_for_trace: the analytic backend is dispatched by the "
           "algorithm registry (core/analytic.hpp), not by run_for_trace");

@@ -22,8 +22,9 @@
 //
 // Classified supersteps carry their SuperstepRecord precomputed, so
 // OptimizedSchedule::replay_trace() is O(supersteps · log v) for fully
-// regular programs — the "vectorized bulk accounting" the certify sweeps
-// and the analytic memo cache (core/analytic.hpp) replay per query.
+// regular programs ("vectorized bulk accounting"). bench_backends and the
+// layer profiler time it; the analytic backend (core/analytic.hpp) runs
+// the cost interpreter instead.
 // Fusion: consecutive supersteps with identical label and event streams
 // share one record computation (and, for irregular steps, one accumulator
 // pass at replay time).

@@ -3,8 +3,8 @@
 // A Schedule is the sequence of a program's supersteps, each a columnar
 // block of (src, dst, count, dummy) events in execution order. RecordBackend
 // captures one (bsp/backend.hpp), the distributed coordinator merges one
-// from its workers' blocks (dist/backend.hpp), and the analytic memo cache,
-// ir_opt, the schedule linter and the conformance oracles consume them.
+// from its workers' blocks (dist/backend.hpp), and ir_opt, the schedule
+// linter and the conformance oracles consume them.
 #pragma once
 
 #include <cstddef>
@@ -118,9 +118,8 @@ struct Schedule {
   /// Re-derive the trace by feeding every event through a fresh
   /// DegreeAccumulator per superstep — the replay half of record/replay.
   [[nodiscard]] Trace replay_trace() const;
-  /// FNV-1a over log_v and every block's label and columns: the
-  /// content address under which the analytic memo cache stores replayed
-  /// traces (two schedules with identical patterns share one entry).
+  /// FNV-1a over log_v and every block's label and columns: a content
+  /// fingerprint (two schedules with identical patterns hash alike).
   [[nodiscard]] std::uint64_t content_hash() const noexcept;
 };
 

@@ -7,9 +7,9 @@
 //   CSV — the human surface: header line `log_v,<value>`, then one line per
 //     superstep: label,messages,degree_0,degree_1,...,degree_logv
 //   binary — the compact columnar block format of bsp/trace_store.hpp
-//     (delta+varint degree columns, per-block checksums); the two are
-//     pinned against each other by a round-trip differential test over
-//     every golden fixture and registry kernel.
+//     (delta+varint degree columns, per-block checksums) and the only
+//     stored golden format; the two are pinned against each other by a
+//     round-trip differential test (tests/bsp/test_trace_io.cpp).
 #pragma once
 
 #include <iosfwd>

@@ -1,5 +1,5 @@
 // Binary columnar trace store: the one block layout shared by backends,
-// goldens, the CLI and the analytic cache.
+// goldens, the CLI and the serve result cache.
 //
 // The paper makes traces the central artifact — H, D, wiseness and
 // optimality are pure functions of the per-superstep fold-degree trace
@@ -45,7 +45,7 @@ namespace nobl {
 inline constexpr unsigned char kTraceBinMagic[4] = {'N', 'B', 'L', 'T'};
 /// Current (and only) format version.
 inline constexpr std::uint16_t kTraceBinVersion = 1;
-/// Canonical file extension for binary traces (golden twins, exports).
+/// Canonical file extension for binary traces (goldens, exports).
 inline constexpr const char* kTraceBinExtension = ".nbt";
 
 /// Decoder for a binary trace image. from_bytes checks the header, every

@@ -25,6 +25,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "audit/kernel_audit.hpp"
@@ -349,9 +350,8 @@ Options:
                   cost (degree accounting only — no payloads, no delivery,
                   no inboxes), record (capture + replay the communication
                   schedule), analytic (closed-form trace synthesis for
-                  kernels with exact formulas, a memoized fused replay for
-                  the other input-independent kernels, cost fallback
-                  otherwise), distributed (real forked worker processes,
+                  kernels with exact formulas, cost for every other
+                  kernel), distributed (real forked worker processes,
                   one per VP cluster, merged over a fork or loopback-TCP
                   channel — attaches a measured wall-clock column per
                   superstep, docs/DISTRIBUTED.md). Traces are
@@ -445,12 +445,11 @@ Usage:
 Options:
   --json FILE   also write the full result document ("-" = stdout)
   --backend B   certify under one backend: simulate | cost | record |
-                analytic | distributed. Analytic is the natural choice for
-                sweeps — verdicts are pure trace queries, and the analytic
-                backend answers them from closed forms or one memoized
-                schedule instead of re-running the kernel per point;
-                distributed certifies the merged trace of real worker
-                processes (and attaches measured wall clock to --json)
+                analytic | distributed. Verdicts are pure trace queries,
+                so cost and analytic (closed forms for the exact kernels,
+                cost for the rest) are the fast choices; distributed
+                certifies the merged trace of real worker processes (and
+                attaches measured wall clock to --json)
   --transport T    distributed backend only: fork (default) | tcp
   --dist-workers N distributed backend only: worker processes (0 = auto)
   --quiet       suppress progress lines on stderr
@@ -586,7 +585,9 @@ int cmd_trace(const std::vector<std::string>& args) {
     // pins every other.
     spec.engines = {spec.engines.front()};
     spec.backends = {spec.backends.front()};
-    std::filesystem::create_directories(export_dir);
+    std::error_code ec;
+    std::filesystem::create_directories(export_dir, ec);
+    if (ec) throw std::invalid_argument("cannot write \"" + export_dir + "\"");
     const bool binary = format == "bin";
     // Each file is written while the runner still holds its trace.
     (void)run_campaign(
@@ -671,7 +672,7 @@ Options:
   --help    this text
 
 Examples:
-  nobl convert tests/golden/fft_n64.csv /tmp/fft_n64.nbt
+  nobl convert tests/golden/fft_n64.nbt /tmp/fft_n64.csv
   nobl convert big.nbt - --to csv        ("-" writes CSV to stdout)
 )";
 }
@@ -775,9 +776,8 @@ must report identical H cells under every engine and every backend. With
 (the CI regression gate).
 
 With --golden DIR, `nobl check` instead replays the golden campaign against
-the archived trace fixtures in DIR: for every (algorithm, n) sweep the CSV
-fixture and its binary .nbt twin must carry identical traces, and every
-backend the kernel supports (simulate / cost / record / analytic /
+the archived .nbt trace fixtures in DIR: for every (algorithm, n) sweep,
+every backend the kernel supports (simulate / cost / record / analytic /
 distributed) must reproduce the golden H surface bit-for-bit at every fold
 and σ. --transport selects the distributed backend's worker channel for
 those replays.
@@ -797,7 +797,7 @@ Options:
                            accepted: the aggregated document written by
                            `nobl serve --campaign ... --json`)
   --thresholds FILE        thresholds document (see bench/thresholds/)
-  --golden DIR             replay csv + binary golden traces, all backends
+  --golden DIR             replay the .nbt golden traces, all backends
   --transport T            with --golden: run the distributed-backend
                            replays over T, fork (default) | tcp
   --serve-stats FILE       stats document from `nobl serve --stats`
@@ -813,10 +813,9 @@ on stderr).
 )";
 }
 
-/// `nobl check --golden DIR`: certify the archived fixtures. Both format
-/// twins must agree, and each supported backend's live run must reproduce
-/// the golden H cells bit-identically (the acceptance gate CI runs against
-/// tests/golden/).
+/// `nobl check --golden DIR`: certify the archived `.nbt` fixtures. Each
+/// supported backend's live run must reproduce the golden H cells
+/// bit-identically (the acceptance gate CI runs against tests/golden/).
 int check_golden(const std::string& dir, const std::string& transport) {
   std::vector<std::string> violations;
   const CampaignSpec spec = builtin_campaign("golden");
@@ -832,22 +831,10 @@ int check_golden(const std::string& dir, const std::string& transport) {
       const std::string where =
           sweep.algorithm + " n=" + std::to_string(n);
       Trace golden;
-      Trace twin;
       try {
-        golden = load_trace_any(stem + ".csv");
-        twin = load_trace_any(stem + kTraceBinExtension);
+        golden = load_trace_any(stem + kTraceBinExtension);
       } catch (const std::exception& e) {
         violations.push_back(where + ": " + e.what());
-        continue;
-      }
-      std::ostringstream from_csv;
-      std::ostringstream from_bin;
-      write_trace_csv(from_csv, golden);
-      write_trace_csv(from_bin, twin);
-      if (from_csv.str() != from_bin.str()) {
-        violations.push_back(where +
-                             ": csv and binary goldens carry different "
-                             "traces — regenerate both");
         continue;
       }
       for (const BackendKind backend : all_backend_kinds()) {
@@ -874,7 +861,7 @@ int check_golden(const std::string& dir, const std::string& transport) {
   }
   for (const auto& v : violations) std::cerr << "CHECK: " << v << "\n";
   if (!violations.empty()) return 1;
-  std::cout << "nobl check: OK (golden replay: csv + bin fixtures, every "
+  std::cout << "nobl check: OK (golden replay: .nbt fixtures, every "
                "backend, "
             << dir << ")\n";
   return 0;

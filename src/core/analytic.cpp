@@ -1,11 +1,9 @@
 #include "core/analytic.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "bsp/backend.hpp"
-#include "bsp/ir_opt.hpp"
 #include "core/registry.hpp"
 #include "util/bits.hpp"
 
@@ -125,79 +123,18 @@ Trace transpose_trace(std::uint64_t n) {
 
 }  // namespace analytic
 
+Trace analytic_trace(const AlgoEntry& entry, std::uint64_t n) {
+  if (entry.analytic != nullptr) return entry.analytic(n);
+  return entry.runner(n, BackendKind::kCost);
+}
+
 AnalyticBackend& AnalyticBackend::instance() {
   static AnalyticBackend backend;
   return backend;
 }
 
 Trace AnalyticBackend::trace_for(const AlgoEntry& entry, std::uint64_t n) {
-  if (entry.analytic != nullptr) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.symbolic;
-    }
-    return entry.analytic(n);
-  }
-  if (entry.input_independent) return memoized_trace(entry, n);
-  // Data-dependent kernel (samplesort): no closed form, no cache — run the
-  // message-storage-free cost interpreter, which is still bit-identical.
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.fallbacks;
-  }
-  RunOptions fallback;
-  fallback.backend = BackendKind::kCost;
-  return entry.runner(n, fallback);
-}
-
-Trace AnalyticBackend::memoized_trace(const AlgoEntry& entry,
-                                      std::uint64_t n) {
-  if (!entry.input_independent) {
-    throw std::invalid_argument(
-        entry.name +
-        ": schedule memoization refused — the kernel is data-dependent "
-        "(input_independent = false), so a cached trace would pin one "
-        "input's degrees");
-  }
-  const std::string key = entry.name + "/" + std::to_string(n);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = key_cache_.find(key);
-  if (it != key_cache_.end()) {
-    ++stats_.memo_hits;
-    return trace_cache_.at(it->second);
-  }
-  ++stats_.memo_misses;
-  Schedule schedule;
-  RunOptions record_options;
-  record_options.backend = BackendKind::kRecord;
-  record_options.capture = &schedule;
-  (void)entry.runner(n, record_options);
-  // Content addressing: the stored trace is keyed by the schedule's
-  // columnar content, so two keys recording identical blocks share one
-  // entry (and the second skips the optimize/replay pass).
-  const std::uint64_t hash = schedule.content_hash();
-  key_cache_.emplace(std::move(key), hash);
-  const auto cached = trace_cache_.find(hash);
-  if (cached != trace_cache_.end()) return cached->second;
-  Trace trace = optimize_schedule(schedule).replay_trace();
-  trace_cache_.emplace(hash, trace);
-  return trace;
-}
-
-void AnalyticBackend::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  key_cache_.clear();
-  trace_cache_.clear();
-  stats_ = Stats{};
-}
-
-AnalyticBackend::Stats AnalyticBackend::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-Trace analytic_trace(const AlgoEntry& entry, std::uint64_t n) {
-  return AnalyticBackend::instance().trace_for(entry, n);
+  return analytic_trace(entry, n);
 }
 
 }  // namespace nobl

@@ -1,40 +1,29 @@
-// AnalyticBackend: the cost-optimizer dispatch behind `--backend analytic`.
+// The analytic backend: the dispatch behind `--backend analytic`.
 //
 // The paper's central claim — H_A(n, p, σ) is a static property of the
-// communication pattern, not of any particular execution — makes most cost
-// queries answerable without executing a single message. The registry
-// routes BackendKind::kAnalytic here, and the dispatch picks the cheapest
-// sound path per kernel:
+// communication pattern, not of any particular execution — means a cost
+// query needs only a kernel's degree trace, never its payloads. The
+// registry routes BackendKind::kAnalytic here, and the dispatch has two
+// paths:
 //
-//   1. Closed-form short-circuit. Kernels whose predicted H is *exact*
-//      (reduce, gather, shift, scan, transpose, broadcast) carry a trace
-//      synthesizer (AlgoEntry::analytic) that reconstructs the full
-//      per-fold degree trace symbolically in O(supersteps · log v).
-//      Crucially it synthesizes the integer *trace*, not a double H value:
-//      downstream H cells then flow through the identical
-//      communication_complexity() arithmetic and stay bit-identical to
-//      every executed backend (the `nobl check` conformance invariant).
+//   1. Closed form. Kernels whose predicted H is *exact* (reduce, gather,
+//      shift, scan, transpose, broadcast) carry a trace synthesizer
+//      (AlgoEntry::analytic) that reconstructs the full per-fold degree
+//      trace symbolically in O(supersteps · log v). It synthesizes the
+//      integer *trace*, not a double H value: downstream H cells then flow
+//      through the identical communication_complexity() arithmetic and
+//      stay bit-identical to every executed backend (the `nobl check`
+//      conformance invariant).
 //
-//   2. Schedule memoization. Other input-independent kernels (everything
-//      except samplesort) are recorded once per (kernel, n) — the machine
-//      size v is a function of the pair — optimized by the IR pass
-//      (bsp/ir_opt.hpp), and the replayed trace is cached, so a σ- or
-//      fold-sweep pays one execution total instead of one per point.
+//   2. Cost. Every other kernel runs under the payload-free cost
+//      interpreter (bsp/cost.hpp), which already derives the executed
+//      trace bit for bit and is the fastest executing backend.
 //
-//   3. Fallback. Data-dependent kernels (samplesort: routing degrees
-//      follow the key distribution) opt out via
-//      AlgoEntry::input_independent = false; the dispatch executes them
-//      under the plain cost backend. memoized_trace() *refuses* such
-//      kernels — caching them would silently pin one input's degrees.
-//
-// All three paths produce traces bit-identical to simulate/cost/record;
+// Both paths produce traces bit-identical to simulate/cost/record;
 // tests/core/test_analytic.cpp holds the differential checks.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 
 #include "bsp/trace.hpp"
 
@@ -74,55 +63,23 @@ namespace analytic {
 
 }  // namespace analytic
 
-/// The analytic backend: closed-form short-circuit + schedule memo cache.
-/// Process-wide (campaign cells for the same kernel arrive one by one);
-/// thread-safe for concurrent trace queries.
+/// The analytic dispatch for one (kernel, n) query: `entry.analytic(n)`
+/// when the kernel has a closed form, else `entry.runner(n, kCost)`.
+/// Admissibility is the caller's (the registry wrapper's) responsibility.
+[[nodiscard]] Trace analytic_trace(const AlgoEntry& entry, std::uint64_t n);
+
+/// A stateless shim over analytic_trace(). It is kept only because the
+/// layer profiler (perfbench/layers.cpp) calls instance(), trace_for() and
+/// clear(), and that harness changes only together with the benchmark.
 class AnalyticBackend {
  public:
-  struct Stats {
-    std::uint64_t symbolic = 0;     ///< closed-form synthesizer answers
-    std::uint64_t memo_hits = 0;    ///< cache hits (no execution at all)
-    std::uint64_t memo_misses = 0;  ///< record + optimize + replay fills
-    std::uint64_t fallbacks = 0;    ///< data-dependent cost executions
-  };
-
   [[nodiscard]] static AnalyticBackend& instance();
 
-  /// Full analytic dispatch for one (kernel, n) query: symbolic when the
-  /// entry has a synthesizer, memoized record/replay when it is
-  /// input-independent, cost execution otherwise. Admissibility is the
-  /// caller's (the registry wrapper's) responsibility.
+  /// Forwards to analytic_trace().
   [[nodiscard]] Trace trace_for(const AlgoEntry& entry, std::uint64_t n);
 
-  /// The memoization path alone: record once, optimize (bsp/ir_opt.hpp),
-  /// cache the replayed trace content-addressed. The cache is two-level —
-  /// "<kernel>/<n>" resolves to the recorded Schedule's content_hash(),
-  /// which keys the stored trace — so a (kernel, n) hit still skips
-  /// execution entirely, while kernels that record identical columnar
-  /// blocks (e.g. the same pattern at two registry names) share one
-  /// stored trace. Throws std::invalid_argument for kernels with
-  /// input_independent == false — a memoized data-dependent trace would
-  /// silently pin one input's degrees.
-  [[nodiscard]] Trace memoized_trace(const AlgoEntry& entry, std::uint64_t n);
-
-  /// Drop every cached schedule/trace and zero the stats (tests).
-  void clear();
-
-  [[nodiscard]] Stats stats() const;
-
- private:
-  AnalyticBackend() = default;
-
-  mutable std::mutex mutex_;
-  /// Level 1: "<kernel>/<n>" -> content hash of the schedule it records.
-  std::unordered_map<std::string, std::uint64_t> key_cache_;
-  /// Level 2: content hash -> replayed trace (shared across keys whose
-  /// recorded schedules carry identical columnar blocks).
-  std::unordered_map<std::uint64_t, Trace> trace_cache_;
-  Stats stats_;
+  /// No-op: the dispatch holds no state.
+  void clear() {}
 };
-
-/// Convenience free function used by the registry's runner wrapper.
-[[nodiscard]] Trace analytic_trace(const AlgoEntry& entry, std::uint64_t n);
 
 }  // namespace nobl

@@ -110,8 +110,8 @@ void AlgoRegistry::add(AlgoEntry entry) {
                                   "\" is not supported by this kernel");
     }
     if (options.backend == BackendKind::kAnalytic) {
-      // The optimizer path: closed form, memoized record/replay, or cost
-      // fallback — the program itself never interprets kAnalytic.
+      // Closed form, else the cost interpreter — the program itself
+      // never interprets kAnalytic.
       return analytic_trace(self, n);
     }
     return raw(n, options);

@@ -11,11 +11,9 @@
 //     matching lower bound, both as CostFormula (n, p, σ) -> value,
 //   * the size sweeps its bench and the CI smoke campaign use,
 //   * the backends it supports (every kernel is a Program, so all five:
-//     simulate / cost / record / distributed, plus the analytic
-//     cost-optimizer path —
-//     exact kernels answer symbolically, input-independent ones through
-//     the schedule memo cache, data-dependent ones by cost fallback; see
-//     core/analytic.hpp),
+//     simulate / cost / record / distributed, plus the analytic path —
+//     exact kernels answer from a closed form, every other kernel runs
+//     under the cost interpreter; see core/analytic.hpp),
 //   * catalog metadata (pattern class, H formula, defining header,
 //     exactness and input-independence flags) that `nobl list --json`
 //     emits and docs/KERNELS.md is generated from.
@@ -69,8 +67,8 @@ struct AlgoEntry {
   /// backend answers them without executing a message.
   bool exact_h = false;
   /// False for kernels whose degrees depend on the input values
-  /// (samplesort): the analytic backend's schedule memo cache refuses
-  /// them and falls back to cost execution.
+  /// (samplesort). `nobl audit` checks the annotation against the recorded
+  /// schedules, and `nobl list --json` and docs/KERNELS.md report it.
   bool input_independent = true;
   /// Closed-form trace synthesizer (core/analytic.hpp); set iff exact_h.
   Trace (*analytic)(std::uint64_t n) = nullptr;

@@ -384,7 +384,8 @@ TEST(Schedule, ContentHashTracksColumnContent) {
     return bk.schedule();
   };
   // Deterministic, equal for equal patterns, different when any column
-  // (here: dst) changes — the property the analytic memo cache relies on.
+  // (here: dst) changes — what lets the distributed tests compare merged
+  // and recorded schedules by hash.
   EXPECT_EQ(recorded(3).content_hash(), recorded(3).content_hash());
   EXPECT_NE(recorded(3).content_hash(), recorded(5).content_hash());
   // The dummy flag participates too: same (src, dst, count), different bit.

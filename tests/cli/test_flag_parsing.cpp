@@ -112,6 +112,9 @@ TEST(FlagParsing, FailedWritesExitTwoAndNameThePath) {
   expect_path_error("run --campaign golden --backend cost --quiet --json "
                     "/dev/full",
                     "cannot write", "/dev/full");
+  // An existing regular file cannot become the export directory.
+  expect_path_error("trace --campaign golden --quiet --export " + input,
+                    "cannot write", input);
   std::remove(input.c_str());
 }
 

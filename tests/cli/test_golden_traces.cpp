@@ -1,20 +1,20 @@
 // Golden-trace conformance: the fixtures under tests/golden/ were produced
 // by
 //
-//   nobl trace --export tests/golden --campaign golden                (.csv)
 //   nobl trace --export tests/golden --campaign golden --format bin   (.nbt)
 //
 // and pin three layers at once across refactors:
 //   * the algorithms' communication schedules (re-running each registry
-//     runner must reproduce BOTH archived formats bit-for-bit, under both
+//     runner must reproduce the archived bytes bit-for-bit, under both
 //     engines),
-//   * trace_io (serialize -> bytes must match the archives; parse -> the
-//     same metrics, whether decoded from CSV or through the binary
-//     columnar reader),
-//   * the certification pipeline (H/alpha/gamma recomputed from the parsed
+//   * trace_store (encode -> bytes must match the archives; decode -> the
+//     same metrics),
+//   * the certification pipeline (H/alpha/gamma recomputed from the decoded
 //     trace must equal the live run's).
-// Regenerate the fixtures with the commands above ONLY for an intentional
-// schedule change, and say so in the commit message.
+// CSV is an export view of the same traces (`nobl convert`); its byte format
+// is pinned by tests/bsp/test_trace_io.cpp. Regenerate the fixtures with the
+// command above ONLY for an intentional schedule change, and say so in the
+// commit message.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,29 +38,22 @@
 namespace nobl {
 namespace {
 
-std::string golden_path(const std::string& algorithm, std::uint64_t n,
-                        const std::string& extension = ".csv") {
+std::string golden_path(const std::string& algorithm, std::uint64_t n) {
   return std::string(NOBL_GOLDEN_DIR) + "/" + algorithm + "_n" +
-         std::to_string(n) + extension;
+         std::to_string(n) + kTraceBinExtension;
 }
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << "missing golden fixture " << path
                          << " (regenerate: nobl trace --export tests/golden "
-                            "--campaign golden)";
+                            "--campaign golden --format bin)";
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
 }
 
 std::string serialize(const Trace& trace) {
-  std::ostringstream os;
-  write_trace_csv(os, trace);
-  return os.str();
-}
-
-std::string serialize_bin(const Trace& trace) {
   std::ostringstream os;
   write_trace_bin(os, trace);
   return os.str();
@@ -73,22 +66,15 @@ TEST_P(GoldenTraceTest, ReplayIsBitIdenticalUnderBothEngines) {
   const AlgoEntry& entry = AlgoRegistry::instance().at(sweep.algorithm);
   for (const std::uint64_t n : sweep.sizes) {
     const std::string golden = read_file(golden_path(entry.name, n));
-    const std::string golden_bin =
-        read_file(golden_path(entry.name, n, kTraceBinExtension));
     ASSERT_FALSE(golden.empty());
-    ASSERT_FALSE(golden_bin.empty());
 
     const Trace seq = entry.runner(n, ExecutionPolicy::sequential());
     EXPECT_EQ(serialize(seq), golden)
         << entry.name << " n=" << n << " [seq]: schedule drifted";
-    EXPECT_EQ(serialize_bin(seq), golden_bin)
-        << entry.name << " n=" << n << " [seq]: binary encoding drifted";
 
     const Trace par = entry.runner(n, ExecutionPolicy::parallel(2));
     EXPECT_EQ(serialize(par), golden)
         << entry.name << " n=" << n << " [par:2]: schedule drifted";
-    EXPECT_EQ(serialize_bin(par), golden_bin)
-        << entry.name << " n=" << n << " [par:2]: binary encoding drifted";
   }
 }
 
@@ -96,18 +82,10 @@ TEST_P(GoldenTraceTest, ParsedTraceRecertifiesIdentically) {
   const AlgoSweep& sweep = GetParam();
   const AlgoEntry& entry = AlgoRegistry::instance().at(sweep.algorithm);
   for (const std::uint64_t n : sweep.sizes) {
-    std::istringstream in(read_file(golden_path(entry.name, n)));
-    const Trace archived = read_trace_csv(in);
-    const Trace live = entry.runner(n, ExecutionPolicy::sequential());
-
-    // The binary twin must decode to exactly the trace the CSV archive
-    // carries.
-    const Trace twin =
-        TraceReader::from_bytes(
-            read_file(golden_path(entry.name, n, kTraceBinExtension)))
+    const Trace archived =
+        TraceReader::from_bytes(read_file(golden_path(entry.name, n)))
             .materialize();
-    EXPECT_EQ(serialize(twin), serialize(archived))
-        << entry.name << " n=" << n << ": csv/binary twins disagree";
+    const Trace live = entry.runner(n, ExecutionPolicy::sequential());
 
     ASSERT_EQ(archived.log_v(), live.log_v());
     ASSERT_EQ(archived.supersteps(), live.supersteps());
@@ -143,15 +121,11 @@ TEST(GoldenFixtures, CampaignCoversTheFullKernelSpread) {
   for (const AlgoSweep& sweep : spec.sweeps) {
     names.push_back(sweep.algorithm);
     for (const std::uint64_t n : sweep.sizes) {
-      for (const char* extension : {".csv", kTraceBinExtension}) {
-        std::ifstream in(golden_path(sweep.algorithm, n, extension),
-                         std::ios::binary);
-        EXPECT_TRUE(in.good())
-            << "missing " << extension << " fixture for " << sweep.algorithm
-            << " n=" << n
-            << " (regenerate: nobl trace --export tests/golden "
-               "--campaign golden [--format bin])";
-      }
+      std::ifstream in(golden_path(sweep.algorithm, n), std::ios::binary);
+      EXPECT_TRUE(in.good())
+          << "missing fixture for " << sweep.algorithm << " n=" << n
+          << " (regenerate: nobl trace --export tests/golden "
+             "--campaign golden --format bin)";
     }
   }
   for (const char* required : {"scan", "transpose", "samplesort"}) {

@@ -1,16 +1,13 @@
 // The analytic backend (core/analytic.hpp): closed-form synthesizers must
-// reproduce the executed kernels' traces bit for bit, the schedule memo
-// cache must replay exactly what a fresh recording produces, H must agree
-// across analytic / cost / simulate on every (kernel, n, fold, σ) cell, and
-// the data-dependent kernel must be refused by the cache (while still being
-// answerable through the cost fallback).
+// reproduce the executed kernels' traces bit for bit, and analytic, cost and
+// simulate must agree on the trace and on H at every (kernel, n, fold, σ)
+// cell.
 #include "core/analytic.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
-#include <stdexcept>
 #include <vector>
 
 #include "bsp/backend.hpp"
@@ -59,86 +56,32 @@ TEST(Analytic, SynthesizersMatchExecutedTracesBitForBit) {
 }
 
 TEST(Analytic, HAgreesAcrossAnalyticCostSimulateEverywhere) {
-  // Randomized (kernel, n, σ) sweep: the H surface — every fold, every σ —
+  // Every kernel at every smoke size, σ-randomized: the analytic trace must
+  // equal the cost interpreter's, and the H surface — every fold, every σ —
   // must be bitwise-identical under analytic, cost, and simulate. This is
-  // the `nobl check` conformance rule as a unit test, σ-randomized.
+  // the `nobl check` conformance rule as a unit test.
   std::mt19937_64 rng(20260807);
   std::uniform_real_distribution<double> sigma_dist(0.0, 8.0);
-  AnalyticBackend::instance().clear();
   for (const AlgoEntry& entry : AlgoRegistry::instance().entries()) {
-    std::uniform_int_distribution<std::size_t> pick(
-        0, entry.smoke_sizes.size() - 1);
-    const std::uint64_t n = entry.smoke_sizes[pick(rng)];
-    SCOPED_TRACE(entry.name + " n=" + std::to_string(n));
-    const Trace analytic = run_backend(entry, n, BackendKind::kAnalytic);
-    const Trace cost = run_backend(entry, n, BackendKind::kCost);
-    const Trace simulate = run_backend(entry, n, BackendKind::kSimulate);
-    const std::vector<double> sigmas{0.0, 1.0, sigma_dist(rng),
-                                     sigma_dist(rng)};
-    for (unsigned log_p = 0; log_p <= analytic.log_v(); ++log_p) {
-      for (const double sigma : sigmas) {
-        const double h = communication_complexity(analytic, log_p, sigma);
-        EXPECT_EQ(h, communication_complexity(cost, log_p, sigma))
-            << "p=" << (1u << log_p) << " sigma=" << sigma;
-        EXPECT_EQ(h, communication_complexity(simulate, log_p, sigma))
-            << "p=" << (1u << log_p) << " sigma=" << sigma;
+    for (const std::uint64_t n : entry.smoke_sizes) {
+      SCOPED_TRACE(entry.name + " n=" + std::to_string(n));
+      const Trace analytic = run_backend(entry, n, BackendKind::kAnalytic);
+      const Trace cost = run_backend(entry, n, BackendKind::kCost);
+      const Trace simulate = run_backend(entry, n, BackendKind::kSimulate);
+      expect_traces_identical(analytic, cost);
+      const std::vector<double> sigmas{0.0, 1.0, sigma_dist(rng),
+                                       sigma_dist(rng)};
+      for (unsigned log_p = 0; log_p <= analytic.log_v(); ++log_p) {
+        for (const double sigma : sigmas) {
+          const double h = communication_complexity(analytic, log_p, sigma);
+          EXPECT_EQ(h, communication_complexity(cost, log_p, sigma))
+              << "p=" << (1u << log_p) << " sigma=" << sigma;
+          EXPECT_EQ(h, communication_complexity(simulate, log_p, sigma))
+              << "p=" << (1u << log_p) << " sigma=" << sigma;
+        }
       }
     }
   }
-}
-
-TEST(Analytic, MemoizedReplayEqualsFreshRecording) {
-  AnalyticBackend& backend = AnalyticBackend::instance();
-  backend.clear();
-  for (const char* name : {"matmul", "fft", "bitonic"}) {
-    const AlgoEntry& entry = AlgoRegistry::instance().at(name);
-    ASSERT_EQ(entry.analytic, nullptr) << name;  // memo path, not symbolic
-    ASSERT_TRUE(entry.input_independent) << name;
-    const std::uint64_t n = entry.smoke_sizes.front();
-    SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n));
-    const Trace memoized = backend.memoized_trace(entry, n);
-    expect_traces_identical(run_backend(entry, n, BackendKind::kRecord),
-                            memoized);
-    // Second query is a pure cache hit and returns the identical trace.
-    expect_traces_identical(memoized, backend.memoized_trace(entry, n));
-  }
-  const AnalyticBackend::Stats stats = backend.stats();
-  EXPECT_EQ(stats.memo_misses, 3u);
-  EXPECT_EQ(stats.memo_hits, 3u);
-}
-
-TEST(Analytic, DataDependentKernelIsRefusedByTheMemoCache) {
-  AnalyticBackend& backend = AnalyticBackend::instance();
-  backend.clear();
-  const AlgoEntry& samplesort = AlgoRegistry::instance().at("samplesort");
-  ASSERT_FALSE(samplesort.input_independent);
-  const std::uint64_t n = samplesort.smoke_sizes.front();
-  // Caching a data-dependent schedule would pin one input's degrees — the
-  // cache must refuse outright ...
-  EXPECT_THROW((void)backend.memoized_trace(samplesort, n),
-               std::invalid_argument);
-  // ... but the analytic backend still answers, via the cost fallback, with
-  // the exact executed trace.
-  expect_traces_identical(run_backend(samplesort, n, BackendKind::kCost),
-                          run_backend(samplesort, n, BackendKind::kAnalytic));
-  EXPECT_GE(backend.stats().fallbacks, 1u);
-  EXPECT_EQ(backend.stats().memo_hits, 0u);
-}
-
-TEST(Analytic, StatsDistinguishTheThreeDispatchPaths) {
-  AnalyticBackend& backend = AnalyticBackend::instance();
-  backend.clear();
-  const auto& registry = AlgoRegistry::instance();
-  const AlgoEntry& scan = registry.at("scan");
-  const AlgoEntry& fft = registry.at("fft");
-  (void)run_backend(scan, scan.smoke_sizes.front(), BackendKind::kAnalytic);
-  (void)run_backend(fft, fft.smoke_sizes.front(), BackendKind::kAnalytic);
-  (void)run_backend(fft, fft.smoke_sizes.front(), BackendKind::kAnalytic);
-  const AnalyticBackend::Stats stats = backend.stats();
-  EXPECT_EQ(stats.symbolic, 1u);     // scan has a closed form
-  EXPECT_EQ(stats.memo_misses, 1u);  // first fft query records once
-  EXPECT_EQ(stats.memo_hits, 1u);    // second fft query replays the cache
-  EXPECT_EQ(stats.fallbacks, 0u);
 }
 
 }  // namespace
