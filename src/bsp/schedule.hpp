@@ -34,7 +34,7 @@ struct ScheduleSend {
 /// execution order (ascending sender under the sequential driver,
 /// per-sender send order). The same block layout the binary trace store
 /// uses: O(E) scans (ir_opt classification, replay) walk contiguous
-/// columns, equality and content hashing compare whole words.
+/// columns, equality compares whole words.
 class ScheduleStep {
  public:
   unsigned label = 0;
@@ -118,9 +118,6 @@ struct Schedule {
   /// Re-derive the trace by feeding every event through a fresh
   /// DegreeAccumulator per superstep — the replay half of record/replay.
   [[nodiscard]] Trace replay_trace() const;
-  /// FNV-1a over log_v and every block's label and columns: a content
-  /// fingerprint (two schedules with identical patterns hash alike).
-  [[nodiscard]] std::uint64_t content_hash() const noexcept;
 };
 
 }  // namespace nobl

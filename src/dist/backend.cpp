@@ -16,21 +16,20 @@ namespace {
 
 // Wire frames, every integer little-endian (put_le / get_le). A worker's
 // frame is one fixed 13-byte header `u8 kind, u32 aux, u64 length` and a
-// body, written with a single Channel::send:
+// body:
 //   'B' block:  aux = label, length = nevents; body = the src / dst / count
 //               u64 columns, then ceil(nevents/64) dummy-bitmap words
 //   'D' done:   aux = 0, length = 0, no body — the program returned
 //               normally on this worker
 //   'E' error:  aux = exception code, length = message bytes; body = the
 //               message
-//   'A' ack:    the single byte 'A' — the coordinator's end-of-superstep
-//               barrier
-// The coordinator reads a frame as one recv for the header and one for
-// the body.
+// The stream is one way, worker to coordinator. A worker appends frames to
+// one buffer and writes it once it holds kStreamBatchBytes, and at 'D' or
+// 'E'. The coordinator reads a frame as one recv for the header and one for
+// the body, both served by FdChannel's read-ahead.
 constexpr std::uint8_t kFrameBlock = 'B';
 constexpr std::uint8_t kFrameDone = 'D';
 constexpr std::uint8_t kFrameError = 'E';
-constexpr char kFrameAck = 'A';
 constexpr std::size_t kHeaderBytes = 13;
 constexpr std::uint64_t kMaxEvents = std::uint64_t{1} << 40;
 constexpr std::uint64_t kMaxMessageBytes = std::uint64_t{1} << 20;
@@ -48,16 +47,18 @@ constexpr std::uint32_t kErrRuntime = 5;
                            " died mid-protocol (no frame)");
 }
 
-/// Size `frame` for a header plus `body_bytes`, write the header, and
-/// return where the body goes.
-std::uint8_t* start_frame(std::vector<std::uint8_t>& frame, std::uint8_t kind,
+/// Append a header plus room for `body_bytes` to `stream`, and return where
+/// the body goes.
+std::uint8_t* start_frame(std::vector<std::uint8_t>& stream, std::uint8_t kind,
                           std::uint32_t aux, std::uint64_t length,
                           std::size_t body_bytes) {
-  frame.resize(kHeaderBytes + body_bytes);
+  const std::size_t at = stream.size();
+  stream.resize(at + kHeaderBytes + body_bytes);
+  std::uint8_t* frame = stream.data() + at;
   frame[0] = kind;
-  put_le(frame.data() + 1, aux);
-  put_le(frame.data() + 5, length);
-  return frame.data() + kHeaderBytes;
+  put_le(frame + 1, aux);
+  put_le(frame + 5, length);
+  return frame + kHeaderBytes;
 }
 
 /// Append `words` to a frame body as little-endian u64s; returns the end.
@@ -75,10 +76,13 @@ std::uint8_t* put_column(std::uint8_t* out,
 void worker_main(std::uint64_t v, std::uint64_t first, std::uint64_t last,
                  const std::function<void(DistributedBackend&)>& program,
                  Channel& channel) {
+  // run_distributed has checked v, so the constructor cannot throw. The
+  // backend outlives the catch below: its buffered blocks go out ahead of
+  // the error frame.
+  DistributedBackend backend(v, first, last, &channel);
   std::uint32_t code = 0;
   std::string what;
   try {
-    DistributedBackend backend(v, first, last, &channel);
     program(backend);
     backend.finish();
     return;
@@ -98,11 +102,7 @@ void worker_main(std::uint64_t v, std::uint64_t first, std::uint64_t last,
     code = kErrRuntime;
     what = e.what();
   }
-  std::vector<std::uint8_t> frame;
-  std::uint8_t* body =
-      start_frame(frame, kFrameError, code, what.size(), what.size());
-  std::memcpy(body, what.data(), what.size());
-  (void)channel.send(frame.data(), frame.size());
+  backend.fail(code, what);
 }
 
 [[noreturn]] void rethrow_worker_error(unsigned index, std::uint32_t code,
@@ -172,9 +172,7 @@ void DistributedBackend::close_superstep() {
   out = put_column(out, block_.dst());
   out = put_column(out, block_.count());
   put_column(out, block_.dummy_words());
-  char ack = 0;
-  if (!channel_->send(frame_.data(), frame_.size()) ||
-      !channel_->recv(&ack, 1) || ack != kFrameAck) {
+  if (frame_.size() >= kStreamBatchBytes && !flush()) {
     throw std::runtime_error(
         "DistributedBackend: coordinator went away mid-superstep");
   }
@@ -182,10 +180,23 @@ void DistributedBackend::close_superstep() {
 
 void DistributedBackend::finish() {
   start_frame(frame_, kFrameDone, 0, 0, 0);
-  if (!channel_->send(frame_.data(), frame_.size())) {
+  if (!flush()) {
     throw std::runtime_error(
         "DistributedBackend: coordinator went away at end of program");
   }
+}
+
+void DistributedBackend::fail(std::uint32_t code, const std::string& what) {
+  std::uint8_t* body =
+      start_frame(frame_, kFrameError, code, what.size(), what.size());
+  std::memcpy(body, what.data(), what.size());
+  (void)flush();  // nothing left to report to if the coordinator is gone
+}
+
+bool DistributedBackend::flush() {
+  const bool sent = channel_->send(frame_.data(), frame_.size());
+  frame_.clear();
+  return sent;
 }
 
 Trace run_distributed(std::uint64_t v, const DistConfig& config,
@@ -215,6 +226,10 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
   captured.log_v = log_v;
   ScheduleStep merged;
 
+  // No barrier: workers run ahead, blocked only by a full socket, and the
+  // coordinator drains them superstep by superstep, worker by worker. That
+  // fixed merge order alone makes the trace bit-identical, and since a
+  // worker waits on nothing but its own socket, draining cannot deadlock.
   bool done = false;
   while (!done) {
     const auto step_start = std::chrono::steady_clock::now();
@@ -292,12 +307,6 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
     trace.append(std::move(record));
     superstep_ms.push_back(ms_since(step_start));
     if (capture != nullptr) captured.steps.push_back(std::move(merged));
-
-    // Barrier: release every worker into the next superstep.
-    for (unsigned w = 0; w < workers; ++w) {
-      const char ack = kFrameAck;
-      if (!links[w].channel->send(&ack, 1)) worker_gone(w);
-    }
   }
 
   reaper.reap();

@@ -4,21 +4,24 @@
 // contiguous clusters (one forked process each — the paper's D-BSP
 // machine's processors), runs the *same* program in every worker, and has
 // each worker execute superstep bodies only for the VPs it owns. After
-// every superstep each worker ships its (src, dst, count, dummy) event
-// block, a ScheduleStep, to the coordinator over its Channel, as one
-// little-endian frame written with a single send; the coordinator merges
-// the blocks in worker order — which, with contiguous clusters and the
-// sequential per-worker driver, is exactly the ascending-sender event order
-// RecordBackend records — through one DegreeAccumulator, mirroring
-// Schedule::replay_trace verbatim. The merged trace is therefore
-// bit-identical to every in-process backend by construction (pinned by
-// tests/dist/test_distributed.cpp for all registry kernels).
+// every superstep each worker encodes its (src, dst, count, dummy) event
+// block, a ScheduleStep, as one little-endian frame and streams it to the
+// coordinator over its Channel: frames are batched and written once
+// kStreamBatchBytes have accumulated, and at the end of the program. The
+// coordinator never answers, so workers run ahead of the merge; it merges
+// the blocks superstep by superstep in worker order — which, with
+// contiguous clusters and the sequential per-worker driver, is exactly the
+// ascending-sender event order RecordBackend records — through one
+// DegreeAccumulator, mirroring Schedule::replay_trace verbatim. That merge
+// order, not a barrier, makes the merged trace bit-identical to every
+// in-process backend (pinned by tests/dist/test_distributed.cpp for all
+// registry kernels).
 //
 // The coordinator appends each merged superstep record to the Trace it
 // returns.
 //
-// Wall-clock is measured by the coordinator per superstep (worker compute
-// + transport + merge) and surfaces through Measurement as the
+// Wall-clock is measured by the coordinator per superstep (its wait for
+// that superstep's blocks + merge) and surfaces through Measurement as the
 // measured-time column next to predicted H in result documents.
 //
 // One driver: DistributedBackend takes its superstep drivers and message
@@ -33,6 +36,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "bsp/schedule.hpp"
@@ -54,7 +58,8 @@ struct DistConfig {
 
 /// Measured wall-clock of one distributed run, recorded by the coordinator.
 struct Measurement {
-  /// Per-superstep wall-clock: worker compute + transport + merge.
+  /// Per-superstep wall-clock: the coordinator's wait for that superstep's
+  /// blocks + their merge. Workers run ahead, so a wait can be near zero.
   std::vector<double> superstep_ms;
   double total_ms = 0.0;
   unsigned workers = 0;
@@ -101,9 +106,14 @@ class DistributedBackend : public SuperstepDriver<DistributedBackend> {
                      Channel* channel)
       : SuperstepDriver(v), first_(first), last_(last), channel_(channel) {}
 
-  /// Ship the end-of-program frame; called by the worker driver after the
-  /// program returns normally.
+  /// Ship the buffered frames and the end-of-program frame; called by the
+  /// worker driver after the program returns normally.
   void finish();
+
+  /// Ship the buffered frames and an error frame carrying exception `code`
+  /// and message `what`; called by the worker driver when the program
+  /// threw. Best effort: a coordinator that is gone hears nothing.
+  void fail(std::uint32_t code, const std::string& what);
 
  private:
   friend class SuperstepDriver<DistributedBackend>;
@@ -136,9 +146,13 @@ class DistributedBackend : public SuperstepDriver<DistributedBackend> {
     return {lo, hi};
   }
 
-  /// Ship this worker's event block as one frame and wait for the
-  /// coordinator's barrier ack.
+  /// Append this worker's event block to the outgoing stream as one frame,
+  /// and write the stream once it holds kStreamBatchBytes. Never waits on
+  /// the coordinator beyond a full socket.
   void close_superstep();
+
+  /// Write and clear the buffered frames; false = coordinator gone.
+  bool flush();
 
   void record(std::uint64_t src, std::uint64_t dst, std::uint64_t count,
               bool dummy) {
@@ -150,7 +164,7 @@ class DistributedBackend : public SuperstepDriver<DistributedBackend> {
   std::uint64_t last_;
   Channel* channel_;
   ScheduleStep block_;  ///< this worker's events of the open superstep
-  std::vector<std::uint8_t> frame_;  ///< encoded outgoing frame, reused
+  std::vector<std::uint8_t> frame_;  ///< encoded frames not yet written
 };
 
 /// Coordinator entry point: fork `config`-many workers over the selected

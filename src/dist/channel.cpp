@@ -1,5 +1,6 @@
 #include "dist/channel.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -26,8 +27,9 @@ std::string errno_message(const std::string& what) {
   throw std::runtime_error(errno_message(what));
 }
 
-/// Turn Nagle's algorithm off on a tcp link. Left on, every superstep's
-/// frame-then-ack exchange waits out the peer's delayed-ACK timer.
+/// Turn Nagle's algorithm off on a tcp link. Left on, the short tail
+/// segment of a worker's last partial batch waits out the peer's
+/// delayed-ACK timer.
 bool set_nodelay(int fd) {
   const int one = 1;
   return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
@@ -191,7 +193,32 @@ bool FdChannel::send(const void* data, std::size_t len) {
 }
 
 bool FdChannel::recv(void* data, std::size_t len) {
-  return io::recv_exact(fd_, data, len);
+  auto* out = static_cast<std::uint8_t*>(data);
+  const std::size_t buffered = std::min(len, end_ - begin_);
+  if (buffered != 0) {
+    std::memcpy(out, buffer_.data() + begin_, buffered);
+    begin_ += buffered;
+    out += buffered;
+    len -= buffered;
+  }
+  if (len == 0) return true;
+  // The buffer is empty here.
+  if (len >= kStreamBatchBytes) return io::recv_exact(fd_, out, len);
+  buffer_.resize(kStreamBatchBytes);
+  begin_ = 0;
+  end_ = 0;
+  while (end_ < len) {
+    const ssize_t got =
+        io::recv_some(fd_, buffer_.data() + end_, buffer_.size() - end_);
+    if (got <= 0) {
+      if (got == 0) errno = 0;  // clean EOF, as recv_exact reports it
+      return false;
+    }
+    end_ += static_cast<std::size_t>(got);
+  }
+  std::memcpy(out, buffer_.data(), len);
+  begin_ = len;
+  return true;
 }
 
 std::vector<WorkerLink> spawn_workers(

@@ -11,14 +11,15 @@
 //     forked worker connects and identifies itself with a one-word hello.
 //     The same frames flow over a real network stack, so this is the
 //     stepping stone to genuinely remote workers. Both ends set
-//     TCP_NODELAY: a superstep is one small frame answered by a 1-byte ack,
-//     which is exactly the pattern where Nagle's algorithm meets the
-//     peer's delayed ACK and stalls every exchange on a kernel timer.
+//     TCP_NODELAY: workers stream batched frames with no reply, and with
+//     Nagle's algorithm on, the short tail segment of a batch would wait
+//     for the peer's delayed ACK, a kernel timer.
 //
 // Both reduce to FdChannel over util/fd_io, so EINTR and partial reads /
-// writes are absorbed below the protocol layer. Every integer on the wire
-// is little-endian, whatever the host's byte order, and goes through the
-// put_le / get_le pair below.
+// writes are absorbed below the protocol layer. FdChannel reads ahead in
+// kStreamBatchBytes chunks, so one kernel read serves many small frames.
+// Every integer on the wire is little-endian, whatever the host's byte
+// order, and goes through the put_le / get_le pair below.
 #pragma once
 
 #include <concepts>
@@ -61,6 +62,11 @@ template <std::unsigned_integral UInt>
   return value;
 }
 
+/// Batch size of the worker -> coordinator stream: a worker writes once its
+/// buffered frames reach this many bytes, and FdChannel reads ahead up to
+/// this many bytes per kernel read.
+inline constexpr std::size_t kStreamBatchBytes = std::size_t{64} * 1024;
+
 /// A reliable bidirectional byte stream to one peer. The coordinator and
 /// worker protocols are written against this interface only.
 class Channel {
@@ -73,6 +79,9 @@ class Channel {
 };
 
 /// Channel over one connected stream socket (owns and closes the fd).
+/// recv reads ahead: it fills a kStreamBatchBytes buffer with whatever one
+/// kernel read returns and serves exact-length reads from it; a read of at
+/// least kStreamBatchBytes drains the buffer and reads the rest directly.
 class FdChannel final : public Channel {
  public:
   explicit FdChannel(int fd) : fd_(fd) {}
@@ -86,6 +95,9 @@ class FdChannel final : public Channel {
 
  private:
   int fd_;
+  std::vector<std::uint8_t> buffer_;  ///< read-ahead, sized on first recv
+  std::size_t begin_ = 0;             ///< next unread byte of buffer_
+  std::size_t end_ = 0;               ///< one past the last buffered byte
 };
 
 /// One worker process as the coordinator sees it.

@@ -375,27 +375,5 @@ TEST(Schedule, ReplayRejectsOutOfRangeLabels) {
   EXPECT_THROW((void)schedule.replay_trace(), std::invalid_argument);
 }
 
-TEST(Schedule, ContentHashTracksColumnContent) {
-  const auto recorded = [](std::uint64_t seed) {
-    RecordBackend bk(8);
-    bk.superstep(0, [seed](auto& vp) {
-      if (vp.id() == 0) vp.send(seed, 1);
-    });
-    return bk.schedule();
-  };
-  // Deterministic, equal for equal patterns, different when any column
-  // (here: dst) changes — what lets the distributed tests compare merged
-  // and recorded schedules by hash.
-  EXPECT_EQ(recorded(3).content_hash(), recorded(3).content_hash());
-  EXPECT_NE(recorded(3).content_hash(), recorded(5).content_hash());
-  // The dummy flag participates too: same (src, dst, count), different bit.
-  Schedule real;
-  real.log_v = 3;
-  real.steps = {ScheduleStep{0, {{0, 1, 1, false}}}};
-  Schedule dummy = real;
-  dummy.steps = {ScheduleStep{0, {{0, 1, 1, true}}}};
-  EXPECT_NE(real.content_hash(), dummy.content_hash());
-}
-
 }  // namespace
 }  // namespace nobl

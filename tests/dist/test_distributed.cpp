@@ -6,26 +6,32 @@
 // rules' types and messages are pinned by the rule x backend table in
 // tests/bsp/test_backend.cpp), and the measured wall-clock column must line
 // up with the trace's supersteps.
-// The wire itself is pinned too: one little-endian frame per superstep,
-// tcp within a constant of fork, and no child left when a worker dies.
+// The wire itself is pinned too: little-endian frames streamed one way in
+// batched writes, FdChannel's read-ahead, backpressure from blocks larger
+// than a socket buffer, tcp within a constant of fork, and no child left
+// when a worker dies or throws.
 #include "dist/backend.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <initializer_list>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "bsp/backend.hpp"
 #include "core/registry.hpp"
+#include "util/fd_io.hpp"
 
 namespace nobl {
 namespace {
@@ -47,7 +53,6 @@ void expect_schedules_identical(const Schedule& a, const Schedule& b) {
   for (std::size_t s = 0; s < a.steps.size(); ++s) {
     EXPECT_EQ(a.steps[s], b.steps[s]) << "superstep " << s;
   }
-  EXPECT_EQ(a.content_hash(), b.content_hash());
 }
 
 /// Run one registry kernel at its smallest smoke size under kDistributed
@@ -167,8 +172,8 @@ TEST(Distributed, SparseAndRangedSuperstepsMergeLikeTheReference) {
   expect_schedules_identical(merged, recorded);
 }
 
-/// A Channel that records every send and answers every recv with acks, so
-/// a worker-side backend can be driven without a coordinator.
+/// A Channel that records every send, so a worker-side backend can be
+/// driven without a coordinator. A worker never reads: recv only counts.
 class RecordingChannel final : public dist::Channel {
  public:
   bool send(const void* data, std::size_t len) override {
@@ -176,17 +181,16 @@ class RecordingChannel final : public dist::Channel {
     sends.emplace_back(bytes, bytes + len);
     return true;
   }
-  bool recv(void* data, std::size_t len) override {
-    std::memset(data, 'A', len);
+  bool recv(void*, std::size_t) override {
     ++recvs;
-    return true;
+    return false;
   }
 
   std::vector<std::vector<std::uint8_t>> sends;
   int recvs = 0;
 };
 
-TEST(Distributed, EachFrameIsOneLittleEndianWrite) {
+TEST(Distributed, FramesAreLittleEndianAndStreamInOneWrite) {
   RecordingChannel channel;
   dist::DistributedBackend backend(8, 0, 4, &channel);
 
@@ -195,9 +199,9 @@ TEST(Distributed, EachFrameIsOneLittleEndianWrite) {
     if (vp.id() == 1) vp.send_dummy(0, 5);
     if (vp.id() == 3) vp.send_dummy(2, 0x0102);
   });
-  std::vector<std::uint8_t> block;
-  const auto row = [&block](std::initializer_list<std::uint8_t> bytes) {
-    block.insert(block.end(), bytes);
+  std::vector<std::uint8_t> stream;
+  const auto row = [&stream](std::initializer_list<std::uint8_t> bytes) {
+    stream.insert(stream.end(), bytes);
   };
   // Header: kind 'B', aux = label 1, length = 3 events.
   row({'B', 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0});
@@ -215,30 +219,64 @@ TEST(Distributed, EachFrameIsOneLittleEndianWrite) {
   row({2, 1, 0, 0, 0, 0, 0, 0});
   // Dummy bitmap: events 1 and 2 are dummies.
   row({6, 0, 0, 0, 0, 0, 0, 0});
-  ASSERT_EQ(channel.sends.size(), 1u);
-  EXPECT_EQ(channel.sends[0], block);
-  EXPECT_EQ(channel.recvs, 1);
+  // A small block stays buffered: nothing is written, nothing is awaited.
+  EXPECT_TRUE(channel.sends.empty());
 
-  // An empty superstep after a full one: the reused buffers carry nothing
-  // over, the frame is a bare header with every byte but the kind zero.
+  // An empty superstep after a full one: the frame is a bare header with
+  // every byte but the kind zero.
   backend.superstep(0, [](auto&) {});
+  row({'B', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0});
+  EXPECT_TRUE(channel.sends.empty());
+
+  // The done frame, the same bare header under kind 'D', closes the stream:
+  // both blocks and it arrive as one write, byte for byte.
+  backend.finish();
+  row({'D', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0});
+  ASSERT_EQ(channel.sends.size(), 1u);
+  EXPECT_EQ(channel.sends[0], stream);
+  EXPECT_EQ(channel.recvs, 0);
+}
+
+TEST(Distributed, ABlockOverOneBatchFlushesAtItsOwnClose) {
+  RecordingChannel channel;
+  dist::DistributedBackend backend(8, 0, 4, &channel);
+  backend.superstep(0, [](auto&) {});  // a bare header, buffered
+  EXPECT_TRUE(channel.sends.empty());
+
+  // 24 column bytes per event: one more event than fills a batch.
+  constexpr std::uint64_t kEvents =
+      dist::kStreamBatchBytes / (3 * sizeof(std::uint64_t)) + 1;
+  backend.superstep(1, [](auto& vp) {
+    if (vp.id() != 0) return;
+    for (std::uint64_t e = 0; e < kEvents; ++e) vp.send_dummy(1);
+  });
+  ASSERT_EQ(channel.sends.size(), 1u);
+  const std::vector<std::uint8_t>& sent = channel.sends[0];
+  const std::size_t body =
+      3 * kEvents * sizeof(std::uint64_t) + (kEvents + 63) / 64 * 8;
+  ASSERT_EQ(sent.size(), 13 + 13 + body);
+  EXPECT_EQ(std::vector<std::uint8_t>(sent.begin(), sent.begin() + 13),
+            std::vector<std::uint8_t>({'B', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                       0}));
   std::vector<std::uint8_t> header(13, 0);
   header[0] = 'B';
-  ASSERT_EQ(channel.sends.size(), 2u);
-  EXPECT_EQ(channel.sends[1], header);
-  EXPECT_EQ(channel.recvs, 2);
+  header[1] = 1;
+  dist::put_le<std::uint64_t>(header.data() + 5, kEvents);
+  EXPECT_EQ(std::vector<std::uint8_t>(sent.begin() + 13, sent.begin() + 26),
+            header);
 
-  // The done frame: the same bare header under kind 'D', and no ack.
   backend.finish();
-  header[0] = 'D';
-  ASSERT_EQ(channel.sends.size(), 3u);
-  EXPECT_EQ(channel.sends[2], header);
-  EXPECT_EQ(channel.recvs, 2);
+  ASSERT_EQ(channel.sends.size(), 2u);
+  EXPECT_EQ(channel.sends[1],
+            std::vector<std::uint8_t>({'D', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                       0}));
+  EXPECT_EQ(channel.recvs, 0);
 }
 
 TEST(Distributed, TcpStaysWithinAConstantOfFork) {
-  // 256 small supersteps, each one frame and one ack per worker: the
-  // exchange a Nagle / delayed-ACK stall holds for tens of milliseconds.
+  // 256 small supersteps, streamed as one batched write per worker: the
+  // short tail segment a Nagle / delayed-ACK stall would hold for tens of
+  // milliseconds.
   const auto program = [](dist::DistributedBackend& bk) {
     for (unsigned s = 0; s < 256; ++s) {
       bk.superstep(s % 3, [](auto& vp) { vp.send_dummy(vp.id() ^ 1); });
@@ -278,6 +316,175 @@ TEST(Distributed, WorkerDeathMidSuperstepThrowsAndLeavesNoChild) {
     EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
     EXPECT_EQ(errno, ECHILD);
   }
+}
+
+TEST(Distributed, BackpressureFromLargeBlocksKeepsTheMergeExact) {
+  // Thousands of tiny supersteps, many per batch, then dense all-to-all
+  // blocks of about 0.8 MB per worker frame: each is larger than a socket
+  // buffer, so a worker blocks on its write until the coordinator drains.
+  const auto program = [](auto& bk) {
+    for (unsigned s = 0; s < 4096; ++s) {
+      bk.superstep(s % 8, [](auto& vp) {
+        if (vp.id() % 64 == 0) vp.send_dummy(vp.id() ^ 1);
+      });
+    }
+    for (std::uint64_t s = 1; s <= 3; ++s) {
+      bk.superstep(0, [s](auto& vp) {
+        for (std::uint64_t d = 0; d < vp.v(); ++d) vp.send_dummy(d, s);
+      });
+    }
+  };
+  Schedule recorded;
+  RunOptions record_options;
+  record_options.backend = BackendKind::kRecord;
+  record_options.capture = &recorded;
+  const Trace reference =
+      run_for_trace<std::uint64_t>(256, record_options, program);
+  for (const dist::Transport transport :
+       {dist::Transport::kFork, dist::Transport::kTcp}) {
+    SCOPED_TRACE(dist::to_string(transport));
+    Schedule merged;
+    RunOptions options;
+    options.backend = BackendKind::kDistributed;
+    options.dist = dist::DistConfig{2, transport};
+    options.capture = &merged;
+    const Trace distributed =
+        run_for_trace<std::uint64_t>(256, options, program);
+    expect_traces_identical(distributed, reference);
+    expect_schedules_identical(merged, recorded);
+  }
+}
+
+TEST(Distributed, ErrorAfterBufferedFramesRethrowsAndLeavesNoChild) {
+  // Worker 1 (VPs 4..7) throws at superstep 300 and worker 0 at 400, each
+  // with its earlier blocks still buffered. Those blocks must reach the
+  // coordinator ahead of each error frame: the merge then meets worker 1's
+  // error first. Were they dropped, worker 0's error would surface at
+  // superstep 0 instead.
+  const auto program = [](dist::DistributedBackend& bk) {
+    for (unsigned s = 0; s < 600; ++s) {
+      bk.superstep(0, [s](auto& vp) {
+        if (s == 300 && vp.id() == 4) {
+          throw ClusterViolation("vp 4 failed at superstep 300");
+        }
+        if (s == 400 && vp.id() == 0) {
+          throw std::runtime_error("vp 0 failed at superstep 400");
+        }
+        vp.send_dummy(vp.id() ^ 1);
+      });
+    }
+  };
+  for (const dist::Transport transport :
+       {dist::Transport::kFork, dist::Transport::kTcp}) {
+    SCOPED_TRACE(dist::to_string(transport));
+    try {
+      (void)dist::run_distributed(8, dist::DistConfig{2, transport}, nullptr,
+                                  nullptr, program);
+      ADD_FAILURE() << "expected ClusterViolation";
+    } catch (const ClusterViolation& e) {
+      EXPECT_EQ(std::string(e.what()), "vp 4 failed at superstep 300");
+    }
+    int status = 0;
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
+  }
+}
+
+/// An FdChannel reading one end of a socketpair; the test writes the other.
+class FdChannelReadAhead : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_), 0);
+    channel_ = std::make_unique<dist::FdChannel>(fds_[1]);
+  }
+  void TearDown() override {
+    if (fds_[0] >= 0) ::close(fds_[0]);
+  }
+
+  void write(const std::vector<std::uint8_t>& bytes) {
+    ASSERT_TRUE(io::send_all(fds_[0], bytes.data(), bytes.size()));
+  }
+  std::vector<std::uint8_t> read(std::size_t len) {
+    std::vector<std::uint8_t> bytes(len);
+    EXPECT_TRUE(channel_->recv(bytes.data(), len));
+    return bytes;
+  }
+  /// True when the kernel holds no unread byte for the channel.
+  bool socket_drained() const {
+    std::uint8_t byte = 0;
+    return ::recv(fds_[1], &byte, 1, MSG_PEEK | MSG_DONTWAIT) < 0 &&
+           (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+
+  int fds_[2] = {-1, -1};
+  std::unique_ptr<dist::FdChannel> channel_;
+};
+
+std::vector<std::uint8_t> pattern(std::size_t len, std::uint8_t seed) {
+  std::vector<std::uint8_t> bytes(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(seed + 31 * i);
+  }
+  return bytes;
+}
+
+TEST_F(FdChannelReadAhead, OneExactReadSpansTwoKernelReads) {
+  const std::vector<std::uint8_t> head = pattern(5, 1);
+  const std::vector<std::uint8_t> tail = pattern(8, 2);
+  write(head);
+  // The tail lands only after the reader has taken the head and blocked.
+  std::thread late([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    write(tail);
+  });
+  std::vector<std::uint8_t> expected = head;
+  expected.insert(expected.end(), tail.begin(), tail.end());
+  EXPECT_EQ(read(expected.size()), expected);
+  late.join();
+}
+
+TEST_F(FdChannelReadAhead, OneKernelReadHoldsSeveralFrames) {
+  std::vector<std::uint8_t> frames;
+  for (std::uint8_t f = 0; f < 3; ++f) {
+    const std::vector<std::uint8_t> header = pattern(13, f);
+    const std::vector<std::uint8_t> body = pattern(8 * (f + 1), 100 + f);
+    frames.insert(frames.end(), header.begin(), header.end());
+    frames.insert(frames.end(), body.begin(), body.end());
+  }
+  write(frames);
+  // The first header read pulls every frame into the buffer at once.
+  EXPECT_EQ(read(13), pattern(13, 0));
+  EXPECT_TRUE(socket_drained());
+  EXPECT_EQ(read(8), pattern(8, 100));
+  EXPECT_EQ(read(13), pattern(13, 1));
+  EXPECT_EQ(read(16), pattern(16, 101));
+  EXPECT_EQ(read(13), pattern(13, 2));
+  EXPECT_EQ(read(24), pattern(24, 102));
+}
+
+TEST_F(FdChannelReadAhead, ABatchSizedReadTakesTheBufferThenTheSocket) {
+  const std::vector<std::uint8_t> header = pattern(13, 7);
+  const std::vector<std::uint8_t> body =
+      pattern(3 * dist::kStreamBatchBytes + 5, 9);
+  // Larger than a socket buffer: the writer blocks until the reader drains.
+  std::thread writer([&] {
+    write(header);
+    write(body);
+  });
+  EXPECT_EQ(read(header.size()), header);
+  EXPECT_EQ(read(body.size()), body);
+  writer.join();
+}
+
+TEST_F(FdChannelReadAhead, EofMidFrameReturnsFalse) {
+  write(pattern(5, 3));
+  ::close(fds_[0]);
+  fds_[0] = -1;
+  std::uint8_t header[13] = {};
+  errno = EINVAL;
+  EXPECT_FALSE(channel_->recv(header, sizeof(header)));
+  EXPECT_EQ(errno, 0);  // a clean EOF, not an I/O error
 }
 
 TEST(Distributed, TransportNamesRoundTrip) {
