@@ -76,9 +76,11 @@ namespace nobl {
 /// carries no closed form.
 ///
 /// kDistributed executes the program on real forked worker processes (one
-/// per VP cluster; dist/backend.hpp), merging per-superstep event blocks
-/// over a fork or loopback-TCP channel into a trace bit-identical to the
-/// in-process backends, with measured wall-clock per superstep on the side.
+/// per VP cluster; dist/backend.hpp). Each worker ships, over a fork or
+/// loopback-TCP channel, the degree vector of a superstep whose clusters
+/// fit inside it and the event block of one that crosses workers; the
+/// coordinator merges them into a trace bit-identical to the in-process
+/// backends, with measured wall-clock per superstep on the side.
 enum class BackendKind : std::uint8_t {
   kSimulate,
   kCost,
@@ -104,11 +106,10 @@ enum class BackendKind : std::uint8_t {
 struct RunOptions {
   ExecutionPolicy policy{};
   BackendKind backend = BackendKind::kSimulate;
-  /// When non-null and backend == kRecord or kDistributed, run_for_trace
-  /// copies the captured Schedule here — the seam `nobl audit` uses to lift
-  /// a kernel's communication pattern out of one recorded run, and the
-  /// seam the distributed conformance tests use to compare merged event
-  /// streams against RecordBackend.
+  /// When non-null and backend == kRecord, run_for_trace copies the
+  /// captured Schedule here — the seam `nobl audit` uses to lift a
+  /// kernel's communication pattern out of one recorded run. Every other
+  /// backend ignores it.
   Schedule* capture = nullptr;
   /// kDistributed only: worker count and transport.
   dist::DistConfig dist{};
@@ -378,7 +379,7 @@ template <typename Payload, typename ProgramFn>
       // Type-erase the program: the shard backend is one concrete class,
       // so the fork/merge machinery lives out of line in dist/backend.cpp.
       return dist::run_distributed(
-          v, options.dist, options.measure, options.capture,
+          v, options.dist, options.measure,
           [&program](dist::DistributedBackend& backend) { program(backend); });
     case BackendKind::kSimulate:
     default:

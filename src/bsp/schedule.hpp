@@ -2,9 +2,8 @@
 //
 // A Schedule is the sequence of a program's supersteps, each a columnar
 // block of (src, dst, count, dummy) events in execution order. RecordBackend
-// captures one (bsp/backend.hpp), the distributed coordinator merges one
-// from its workers' blocks (dist/backend.hpp), and ir_opt, the schedule
-// linter and the conformance oracles consume them.
+// captures one (bsp/backend.hpp), and ir_opt, the schedule linter and the
+// conformance oracles consume them.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
 #include "dist/backend.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <chrono>
@@ -17,8 +18,10 @@ namespace {
 // Wire frames, every integer little-endian (put_le / get_le). A worker's
 // frame is one fixed 13-byte header `u8 kind, u32 aux, u64 length` and a
 // body:
+//   'L' local:  aux = label, length = messages; body = the log(v / W) u64
+//               words h(2^j), j = log W + 1 .. log v — a local superstep
 //   'B' block:  aux = label, length = nevents; body = the src / dst / count
-//               u64 columns, then ceil(nevents/64) dummy-bitmap words
+//               u64 columns — a crossing superstep
 //   'D' done:   aux = 0, length = 0, no body — the program returned
 //               normally on this worker
 //   'E' error:  aux = exception code, length = message bytes; body = the
@@ -27,6 +30,7 @@ namespace {
 // one buffer and writes it once it holds kStreamBatchBytes, and at 'D' or
 // 'E'. The coordinator reads a frame as one recv for the header and one for
 // the body, both served by FdChannel's read-ahead.
+constexpr std::uint8_t kFrameLocal = 'L';
 constexpr std::uint8_t kFrameBlock = 'B';
 constexpr std::uint8_t kFrameDone = 'D';
 constexpr std::uint8_t kFrameError = 'E';
@@ -161,17 +165,45 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+[[noreturn]] void workers_disagree() {
+  throw std::runtime_error("dist: workers disagree on superstep labels");
+}
+
 }  // namespace
 
+DistributedBackend::DistributedBackend(std::uint64_t v, std::uint64_t first,
+                                       std::uint64_t last, Channel* channel)
+    : SuperstepDriver(v),
+      first_(first),
+      last_(last),
+      log_workers_(log_v() - log2_exact(last - first)),
+      channel_(channel),
+      acc_(log2_exact(last - first)) {
+  step_.degree.assign(log2_exact(last - first) + 1u, 0);
+}
+
 void DistributedBackend::close_superstep() {
-  const std::size_t nevents = block_.size();
-  const std::size_t words = 3 * nevents + block_.dummy_words().size();
-  std::uint8_t* out = start_frame(frame_, kFrameBlock, label(), nevents,
-                                  words * sizeof(std::uint64_t));
-  out = put_column(out, block_.src());
-  out = put_column(out, block_.dst());
-  out = put_column(out, block_.count());
-  put_column(out, block_.dummy_words());
+  if (local_) {
+    acc_.finalize_into(step_);
+    const std::size_t words = step_.degree.size() - 1;
+    std::uint8_t* out = start_frame(frame_, kFrameLocal, label(),
+                                    step_.messages,
+                                    words * sizeof(std::uint64_t));
+    for (std::size_t j = 1; j <= words; ++j) {
+      put_le(out, step_.degree[j]);
+      out += sizeof(std::uint64_t);
+    }
+  } else {
+    const std::size_t nevents = src_.size();
+    std::uint8_t* out = start_frame(frame_, kFrameBlock, label(), nevents,
+                                    3 * nevents * sizeof(std::uint64_t));
+    out = put_column(out, src_);
+    out = put_column(out, dst_);
+    put_column(out, count_);
+    src_.clear();
+    dst_.clear();
+    count_.clear();
+  }
   if (frame_.size() >= kStreamBatchBytes && !flush()) {
     throw std::runtime_error(
         "DistributedBackend: coordinator went away mid-superstep");
@@ -200,7 +232,7 @@ bool DistributedBackend::flush() {
 }
 
 Trace run_distributed(std::uint64_t v, const DistConfig& config,
-                      Measurement* measure, Schedule* capture,
+                      Measurement* measure,
                       const std::function<void(DistributedBackend&)>& program) {
   const unsigned log_v = log2_exact(v);
   std::uint64_t workers = config.workers == 0 ? 4 : config.workers;
@@ -208,6 +240,7 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
   workers = std::bit_floor(workers);  // power of two => equal contiguous
   if (workers == 0) workers = 1;      // clusters that divide v exactly
   const std::uint64_t span = v / workers;
+  const unsigned log_workers = log2_exact(workers);
 
   const auto run_start = std::chrono::steady_clock::now();
   std::vector<WorkerLink> links = spawn_workers(
@@ -221,10 +254,7 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
   DegreeAccumulator acc(log_v);
   std::vector<double> superstep_ms;
   std::uint8_t header[kHeaderBytes] = {};
-  std::vector<std::uint8_t> body;  // reused by every block frame
-  Schedule captured;
-  captured.log_v = log_v;
-  ScheduleStep merged;
+  std::vector<std::uint8_t> body;  // reused by every frame
 
   // No barrier: workers run ahead, blocked only by a full socket, and the
   // coordinator drains them superstep by superstep, worker by worker. That
@@ -233,11 +263,9 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
   bool done = false;
   while (!done) {
     const auto step_start = std::chrono::steady_clock::now();
-    // Merge exactly like Schedule::replay_trace: one accumulator for the
-    // whole run, a fresh record per superstep, count() per event.
     SuperstepRecord record;
     record.degree.assign(log_v + 1u, 0);
-    if (capture != nullptr) merged = ScheduleStep{};
+    bool local = false;  // whether this superstep is local
     for (unsigned w = 0; w < workers; ++w) {
       Channel& channel = *links[w].channel;
       if (!channel.recv(header, kHeaderBytes)) worker_gone(w);
@@ -270,47 +298,52 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
         }
         break;
       }
-      if (kind != kFrameBlock || length > kMaxEvents) worker_gone(w);
-      if (w == 0) {
-        record.label = aux;
-        merged.label = aux;
-      } else if (aux != record.label) {
-        throw std::runtime_error("dist: workers disagree on superstep labels");
+      if (kind != kFrameLocal && kind != kFrameBlock) worker_gone(w);
+      // Every worker sends the same label, and 'L' exactly when it is local.
+      local = aux < label_bound(log_v) && local_superstep(v, aux, span);
+      if ((kind == kFrameLocal) != local || (w != 0 && aux != record.label)) {
+        workers_disagree();
       }
+      record.label = aux;
+      if (kind == kFrameLocal) {
+        // Folds 2^j <= W stay 0: no message of a local superstep leaves
+        // its worker. Above, each cluster lies inside one worker.
+        body.resize((log_v - log_workers) * sizeof(std::uint64_t));
+        if (!channel.recv(body.data(), body.size())) worker_gone(w);
+        for (unsigned j = log_workers + 1; j <= log_v; ++j) {
+          const auto h = get_le<std::uint64_t>(
+              body.data() + (j - log_workers - 1) * sizeof(std::uint64_t));
+          record.degree[j] = std::max(record.degree[j], h);
+        }
+        record.messages += length;
+        continue;
+      }
+      if (length > kMaxEvents) worker_gone(w);
       const std::size_t nevents = length;
       const std::size_t column_bytes = nevents * sizeof(std::uint64_t);
-      body.resize(3 * column_bytes +
-                  (nevents + 63) / 64 * sizeof(std::uint64_t));
+      body.resize(3 * column_bytes);
       if (!channel.recv(body.data(), body.size())) worker_gone(w);
       // Contiguous clusters + worker-index order = global ascending-sender
-      // order, i.e. exactly the event order RecordBackend captures.
+      // order, the order Schedule::replay_trace counts a recorded step in:
+      // one accumulator for the whole run, count() per event.
       const std::uint8_t* src = body.data();
       const std::uint8_t* dst = src + column_bytes;
       const std::uint8_t* count = dst + column_bytes;
-      const std::uint8_t* dummy = count + column_bytes;
       for (std::size_t i = 0; i < nevents; ++i) {
         const std::size_t at = i * sizeof(std::uint64_t);
-        const auto s = get_le<std::uint64_t>(src + at);
-        const auto d = get_le<std::uint64_t>(dst + at);
-        const auto c = get_le<std::uint64_t>(count + at);
-        acc.count(s, d, c);
-        if (capture != nullptr) {
-          const auto word =
-              get_le<std::uint64_t>(dummy + (i >> 6) * sizeof(std::uint64_t));
-          merged.push(s, d, c, ((word >> (i & 63)) & 1) != 0);
-        }
+        acc.count(get_le<std::uint64_t>(src + at),
+                  get_le<std::uint64_t>(dst + at),
+                  get_le<std::uint64_t>(count + at));
       }
     }
     if (done) break;
 
-    acc.finalize_into(record);
+    if (!local) acc.finalize_into(record);
     trace.append(std::move(record));
     superstep_ms.push_back(ms_since(step_start));
-    if (capture != nullptr) captured.steps.push_back(std::move(merged));
   }
 
   reaper.reap();
-  if (capture != nullptr) *capture = std::move(captured);
   if (measure != nullptr) {
     measure->superstep_ms = std::move(superstep_ms);
     measure->total_ms = ms_since(run_start);

@@ -1,27 +1,36 @@
 // The distributed D-BSP execution backend: VP clusters on real processes.
 //
-// run_distributed partitions the v virtual processors into `workers`
-// contiguous clusters (one forked process each — the paper's D-BSP
-// machine's processors), runs the *same* program in every worker, and has
-// each worker execute superstep bodies only for the VPs it owns. After
-// every superstep each worker encodes its (src, dst, count, dummy) event
-// block, a ScheduleStep, as one little-endian frame and streams it to the
-// coordinator over its Channel: frames are batched and written once
-// kStreamBatchBytes have accumulated, and at the end of the program. The
-// coordinator never answers, so workers run ahead of the merge; it merges
-// the blocks superstep by superstep in worker order — which, with
-// contiguous clusters and the sequential per-worker driver, is exactly the
-// ascending-sender event order RecordBackend records — through one
-// DegreeAccumulator, mirroring Schedule::replay_trace verbatim. That merge
-// order, not a barrier, makes the merged trace bit-identical to every
-// in-process backend (pinned by tests/dist/test_distributed.cpp for all
-// registry kernels).
+// run_distributed partitions the v virtual processors into W = `workers`
+// contiguous clusters (one forked process each — the processors of the
+// paper's M(W)), runs the *same* program in every worker, and has each
+// worker execute superstep bodies only for the VPs it owns.
 //
-// The coordinator appends each merged superstep record to the Trace it
-// returns.
+// Local and crossing supersteps. An i-superstep keeps every message inside
+// its sender's i-cluster (Section 2), so when i >= log W each i-cluster lies
+// inside one worker: by Lemma 3.1's folding the superstep is local
+// computation on M(W). A worker accounts such a *local* superstep itself,
+// in a DegreeAccumulator over its own submachine, and ships only the
+// finished degree vector h(2^j), j = log W + 1 .. log v, and its message
+// total. A *crossing* superstep (i < log W) ships its (src, dst, count)
+// event block instead. Each frame is encoded little-endian and streamed to
+// the coordinator over the worker's Channel: frames are batched and written
+// once kStreamBatchBytes have accumulated, and at the end of the program.
+//
+// The coordinator never answers, so workers run ahead of the merge; it
+// merges superstep by superstep in worker order. A local superstep's
+// degree at fold 2^j is the max over workers (every level-j cluster with
+// j > i sits inside one worker, which sees all its traffic), 0 at the folds
+// 2^j <= W, and its message total the sum. A crossing superstep's blocks,
+// in worker order — with contiguous clusters and the sequential per-worker
+// driver, exactly the ascending-sender order RecordBackend records — are
+// counted through one DegreeAccumulator, as Schedule::replay_trace does.
+// That merge order, not a barrier, makes the merged trace bit-identical to
+// every in-process backend (pinned by tests/dist/test_distributed.cpp for
+// all registry kernels at every worker count). The coordinator appends
+// each merged superstep record to the Trace it returns.
 //
 // Wall-clock is measured by the coordinator per superstep (its wait for
-// that superstep's blocks + merge) and surfaces through Measurement as the
+// that superstep's frames + merge) and surfaces through Measurement as the
 // measured-time column next to predicted H in result documents.
 //
 // One driver: DistributedBackend takes its superstep drivers and message
@@ -37,14 +46,22 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "bsp/schedule.hpp"
 #include "bsp/superstep.hpp"
 #include "bsp/trace.hpp"
 #include "dist/channel.hpp"
 
 namespace nobl::dist {
+
+/// Whether an i-superstep (i = `label` < log v) of M(v), run on workers that
+/// own `span` VPs each, is local: its i-clusters of v >> i VPs fit inside
+/// one worker, i.e. i >= log W. Workers and coordinator apply this one rule.
+[[nodiscard]] constexpr bool local_superstep(std::uint64_t v, unsigned label,
+                                             std::uint64_t span) noexcept {
+  return (v >> label) <= span;
+}
 
 /// How to run one distributed execution.
 struct DistConfig {
@@ -59,7 +76,7 @@ struct DistConfig {
 /// Measured wall-clock of one distributed run, recorded by the coordinator.
 struct Measurement {
   /// Per-superstep wall-clock: the coordinator's wait for that superstep's
-  /// blocks + their merge. Workers run ahead, so a wait can be near zero.
+  /// frames + their merge. Workers run ahead, so a wait can be near zero.
   std::vector<double> superstep_ms;
   double total_ms = 0.0;
   unsigned workers = 0;
@@ -69,7 +86,9 @@ struct Measurement {
 /// The worker-side shard backend: implements the VpContext backend concept
 /// over the VP cluster this worker owns. Bodies run (inline, in VP index
 /// order) only for owned VPs; every validation rule checks the full
-/// machine, so all workers agree on whether a program is legal.
+/// machine, so all workers agree on whether a program is legal. A local
+/// superstep is counted here, on the worker's submachine M(span); a crossing
+/// one is kept as an event block (file comment).
 class DistributedBackend : public SuperstepDriver<DistributedBackend> {
  public:
   static constexpr bool delivers = false;
@@ -84,11 +103,11 @@ class DistributedBackend : public SuperstepDriver<DistributedBackend> {
     /// distributed backend accounts degrees, it does not route payloads).
     template <typename Payload>
     void send(std::uint64_t dst, Payload&&) {
-      backend_->record(id_, dst, 1, false);
+      backend_->record(id_, dst, 1);
     }
     void send_dummy(std::uint64_t dst, std::uint64_t count = 1) {
       if (count == 0) return;
-      backend_->record(id_, dst, count, true);
+      backend_->record(id_, dst, count);
     }
 
    private:
@@ -101,10 +120,10 @@ class DistributedBackend : public SuperstepDriver<DistributedBackend> {
   };
 
   /// Shard owning VPs [first, last) of a v-VP machine, reporting through
-  /// `channel` (not owned; must outlive the backend).
+  /// `channel` (not owned; must outlive the backend). last - first is the
+  /// span v / W, a power of two, and first a multiple of it.
   DistributedBackend(std::uint64_t v, std::uint64_t first, std::uint64_t last,
-                     Channel* channel)
-      : SuperstepDriver(v), first_(first), last_(last), channel_(channel) {}
+                     Channel* channel);
 
   /// Ship the buffered frames and the end-of-program frame; called by the
   /// worker driver after the program returns normally.
@@ -119,10 +138,18 @@ class DistributedBackend : public SuperstepDriver<DistributedBackend> {
   friend class SuperstepDriver<DistributedBackend>;
   static constexpr const char* kName = "DistributedBackend";
 
+  /// A local VpRange superstep closes with the accumulator's range sweep
+  /// when the owned part of the range allows it (bsp/trace.hpp).
   template <typename Active>
-  void open_superstep(Active) {
-    block_.clear();
-    block_.label = label();
+  void open_superstep(Active active) {
+    local_ = local_superstep(v(), label(), last_ - first_);
+    if constexpr (std::is_same_v<Active, VpRange>) {
+      if (local_) {
+        const VpRange mine = owned(active);
+        acc_.open_range(label() - log_workers_, mine.first - first_,
+                        mine.last - first_);
+      }
+    }
   }
 
   /// Run the owned VPs of the active set only: a range is clipped to
@@ -146,41 +173,54 @@ class DistributedBackend : public SuperstepDriver<DistributedBackend> {
     return {lo, hi};
   }
 
-  /// Append this worker's event block to the outgoing stream as one frame,
-  /// and write the stream once it holds kStreamBatchBytes. Never waits on
-  /// the coordinator beyond a full socket.
+  /// Append the superstep's frame to the outgoing stream — the degree
+  /// vector of a local superstep, the event block of a crossing one — and
+  /// write the stream once it holds kStreamBatchBytes. Never waits on the
+  /// coordinator beyond a full socket.
   void close_superstep();
 
   /// Write and clear the buffered frames; false = coordinator gone.
   bool flush();
 
-  void record(std::uint64_t src, std::uint64_t dst, std::uint64_t count,
-              bool dummy) {
+  void record(std::uint64_t src, std::uint64_t dst, std::uint64_t count) {
     check_send(src, dst);
-    block_.push(src, dst, count, dummy);
+    if (local_) {
+      // Both endpoints lie in this worker's cluster (check_send held).
+      acc_.count(src - first_, dst - first_, count);
+      return;
+    }
+    src_.push_back(src);
+    dst_.push_back(dst);
+    count_.push_back(count);
   }
 
   std::uint64_t first_;
   std::uint64_t last_;
+  unsigned log_workers_;  ///< log W = log v - log(last - first)
   Channel* channel_;
-  ScheduleStep block_;  ///< this worker's events of the open superstep
+  bool local_ = false;  ///< whether the open superstep is local
+  DegreeAccumulator acc_;  ///< local supersteps, over M(last - first)
+  SuperstepRecord step_;   ///< acc_'s finalized local superstep
+  // The open crossing superstep's event columns.
+  std::vector<std::uint64_t> src_;
+  std::vector<std::uint64_t> dst_;
+  std::vector<std::uint64_t> count_;
   std::vector<std::uint8_t> frame_;  ///< encoded frames not yet written
 };
 
 /// Coordinator entry point: fork `config`-many workers over the selected
-/// transport, run `program` in each, merge every superstep block, and
-/// return the merged trace (routed through the .nbt wire image). When
-/// `measure` is non-null it receives the per-superstep wall-clock column;
-/// when `capture` is non-null it receives the merged global event blocks
-/// as a Schedule (ascending sender order — RecordBackend-identical).
+/// transport, run `program` in each, merge every superstep's frames (file
+/// comment), and return the merged trace. When `measure` is non-null it
+/// receives the per-superstep wall-clock column. No global event stream
+/// exists to hand out: a local superstep's events never leave their worker.
 ///
 /// Worker-side program exceptions are re-thrown here with their original
 /// type (invalid_argument / out_of_range / ClusterViolation / logic_error /
 /// runtime_error) and message; a worker dying mid-protocol surfaces as
-/// std::runtime_error.
+/// std::runtime_error, and so do workers that disagree on a superstep's
+/// label or count.
 [[nodiscard]] Trace run_distributed(
     std::uint64_t v, const DistConfig& config, Measurement* measure,
-    Schedule* capture,
     const std::function<void(DistributedBackend&)>& program);
 
 }  // namespace nobl::dist

@@ -34,7 +34,7 @@
 
 namespace nobl::dist {
 
-/// Which wire carries superstep blocks between coordinator and workers.
+/// Which wire carries superstep frames between coordinator and workers.
 enum class Transport : std::uint8_t { kFork, kTcp };
 
 /// "fork" | "tcp".

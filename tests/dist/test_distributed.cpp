@@ -1,19 +1,21 @@
 // The distributed backend (dist/backend.hpp): merged worker traces must be
 // bit-identical to every in-process backend for every registry kernel over
-// BOTH transports, the captured global event stream must equal
-// RecordBackend's schedule event for event, worker-side exceptions must
-// surface in the coordinator with their original message (the validation
-// rules' types and messages are pinned by the rule x backend table in
-// tests/bsp/test_backend.cpp), and the measured wall-clock column must line
-// up with the trace's supersteps.
-// The wire itself is pinned too: little-endian frames streamed one way in
-// batched writes, FdChannel's read-ahead, backpressure from blocks larger
-// than a socket buffer, tcp within a constant of fork, and no child left
-// when a worker dies or throws.
+// BOTH transports and at every worker count (each moves the split between
+// local supersteps, shipped as degree vectors, and crossing ones, shipped
+// as event blocks), worker-side exceptions must surface in the coordinator
+// with their original message (the validation rules' types and messages
+// are pinned by the rule x backend table in tests/bsp/test_backend.cpp),
+// and the measured wall-clock column must line up with the trace's
+// supersteps.
+// The wire itself is pinned too: little-endian 'L' and 'B' frames streamed
+// one way in batched writes, FdChannel's read-ahead, backpressure from
+// blocks larger than a socket buffer, tcp within a constant of fork, and no
+// child left when a worker dies, throws or disagrees on a label.
 #include "dist/backend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -47,53 +49,83 @@ void expect_traces_identical(const Trace& a, const Trace& b) {
   }
 }
 
-void expect_schedules_identical(const Schedule& a, const Schedule& b) {
-  ASSERT_EQ(a.log_v, b.log_v);
-  ASSERT_EQ(a.steps.size(), b.steps.size());
-  for (std::size_t s = 0; s < a.steps.size(); ++s) {
-    EXPECT_EQ(a.steps[s], b.steps[s]) << "superstep " << s;
-  }
+/// No child of this process is left, running or unreaped.
+void expect_no_child() {
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
-/// Run one registry kernel at its smallest smoke size under kDistributed
-/// over `transport` and pin trace AND captured schedule against kRecord.
-void check_kernel_conformance(const AlgoEntry& entry,
-                              dist::Transport transport) {
-  const std::uint64_t n = entry.smoke_sizes.front();
-  SCOPED_TRACE(entry.name + " n=" + std::to_string(n) + " over " +
-               dist::to_string(transport));
-
-  Schedule recorded;
-  RunOptions record_options;
-  record_options.backend = BackendKind::kRecord;
-  record_options.capture = &recorded;
-  const Trace reference = entry.runner(n, record_options);
-
-  Schedule merged;
+/// Run one registry kernel at size n under kDistributed with `config`, and
+/// pin its trace against `reference` and its measured column against the
+/// trace and the config.
+void check_kernel_conformance(const AlgoEntry& entry, std::uint64_t n,
+                              const dist::DistConfig& config,
+                              const Trace& reference) {
+  SCOPED_TRACE(entry.name + " n=" + std::to_string(n) + " W=" +
+               std::to_string(config.workers) + " over " +
+               dist::to_string(config.transport));
   dist::Measurement measurement;
   RunOptions dist_options;
   dist_options.backend = BackendKind::kDistributed;
-  dist_options.capture = &merged;
   dist_options.measure = &measurement;
-  dist_options.dist.transport = transport;
+  dist_options.dist = config;
   const Trace distributed = entry.runner(n, dist_options);
 
   expect_traces_identical(distributed, reference);
-  expect_schedules_identical(merged, recorded);
   EXPECT_EQ(measurement.superstep_ms.size(), distributed.supersteps());
-  EXPECT_EQ(measurement.transport, transport);
+  EXPECT_EQ(measurement.transport, config.transport);
+  // A power-of-two request is clamped only by v.
+  EXPECT_EQ(measurement.workers,
+            std::min<std::uint64_t>(config.workers, distributed.v()));
 }
 
-TEST(Distributed, AllKernelsBitIdenticalOverFork) {
+TEST(Distributed, EveryKernelIsBitIdenticalAtEveryWorkerCount) {
+  // W workers make labels >= log W local: W = 1 runs every superstep as
+  // one local degree vector, W = 8 ships most as event blocks.
+  std::vector<dist::DistConfig> configs;
+  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+    configs.push_back({workers, dist::Transport::kFork});
+  }
+  for (const unsigned workers : {2u, 4u}) {
+    configs.push_back({workers, dist::Transport::kTcp});
+  }
   for (const AlgoEntry& entry : AlgoRegistry::instance().entries()) {
     ASSERT_TRUE(entry.supports(BackendKind::kDistributed)) << entry.name;
-    check_kernel_conformance(entry, dist::Transport::kFork);
+    for (const std::uint64_t n : entry.smoke_sizes) {
+      const Trace reference = entry.runner(n, RunOptions{BackendKind::kCost});
+      for (const dist::DistConfig& config : configs) {
+        check_kernel_conformance(entry, n, config, reference);
+      }
+    }
   }
 }
 
-TEST(Distributed, AllKernelsBitIdenticalOverTcp) {
-  for (const AlgoEntry& entry : AlgoRegistry::instance().entries()) {
-    check_kernel_conformance(entry, dist::Transport::kTcp);
+TEST(Distributed, WorkersThatDisagreeOnALabelThrowAndLeaveNoChild) {
+  // Two workers of four VPs each (log W = 1). A flag set by a body of the
+  // first superstep is true only in worker 1, so worker 0 runs a local
+  // 1-superstep ('L') while worker 1 runs a crossing 0-superstep ('B').
+  const auto program = [](dist::DistributedBackend& bk) {
+    bool second_worker = false;
+    bk.superstep(0, [&second_worker](auto& vp) {
+      if (vp.id() == 4) second_worker = true;
+    });
+    bk.superstep(second_worker ? 0 : 1,
+                 [](auto& vp) { vp.send_dummy(vp.id() ^ 1); });
+  };
+  for (const dist::Transport transport :
+       {dist::Transport::kFork, dist::Transport::kTcp}) {
+    SCOPED_TRACE(dist::to_string(transport));
+    try {
+      (void)dist::run_distributed(8, dist::DistConfig{2, transport}, nullptr,
+                                  program);
+      ADD_FAILURE() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "dist: workers disagree on superstep labels");
+    }
+    expect_no_child();
   }
 }
 
@@ -148,28 +180,34 @@ TEST(Distributed, WorkerProgramExceptionsCarryTheirMessage) {
 }
 
 TEST(Distributed, SparseAndRangedSuperstepsMergeLikeTheReference) {
-  // Drivers beyond the dense one: a ranged superstep and a sparse active
-  // set, including self-sends (degree-invisible, message-visible).
+  // Drivers beyond the dense one: ranged supersteps and sparse active sets,
+  // including self-sends (degree-invisible, message-visible), each local
+  // at some worker counts and crossing at others. The ranges start and end
+  // inside a worker, so a worker's owned part can be partial or empty.
   auto program = [](auto& bk) {
     bk.superstep_range(0, 2, 6, [](auto& vp) { vp.send_dummy(vp.id(), 3); });
     const std::vector<std::uint64_t> active = {1, 4, 7};
     bk.superstep_sparse(1, active,
                         [](auto& vp) { vp.send_dummy(vp.id() ^ 1, 1); });
+    bk.superstep_range(2, 3, 7, [](auto& vp) {
+      vp.send_dummy(vp.id() ^ 1, vp.id());
+      vp.send_dummy(vp.id(), 2);
+    });
+    bk.superstep_range(1, 1, 2, [](auto& vp) { vp.send_dummy(3, 4); });
+    bk.superstep_sparse(2, active,
+                        [](auto& vp) { vp.send_dummy(vp.id() ^ 1, 5); });
   };
-  Schedule recorded;
-  RunOptions record_options;
-  record_options.backend = BackendKind::kRecord;
-  record_options.capture = &recorded;
-  const Trace reference =
-      run_for_trace<std::uint64_t>(8, record_options, program);
-
-  Schedule merged;
-  RunOptions options;
-  options.backend = BackendKind::kDistributed;
-  options.capture = &merged;
-  const Trace distributed = run_for_trace<std::uint64_t>(8, options, program);
-  expect_traces_identical(distributed, reference);
-  expect_schedules_identical(merged, recorded);
+  const Trace reference = run_for_trace<std::uint64_t>(
+      8, RunOptions{BackendKind::kRecord}, program);
+  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    RunOptions options;
+    options.backend = BackendKind::kDistributed;
+    options.dist.workers = workers;
+    const Trace distributed =
+        run_for_trace<std::uint64_t>(8, options, program);
+    expect_traces_identical(distributed, reference);
+  }
 }
 
 /// A Channel that records every send, so a worker-side backend can be
@@ -191,11 +229,12 @@ class RecordingChannel final : public dist::Channel {
 };
 
 TEST(Distributed, FramesAreLittleEndianAndStreamInOneWrite) {
+  // Worker 0 of two: VPs 0..3 of 8, so labels >= 1 are local.
   RecordingChannel channel;
   dist::DistributedBackend backend(8, 0, 4, &channel);
 
   backend.superstep(1, [](auto& vp) {
-    if (vp.id() == 0) vp.send(1, 0);
+    if (vp.id() == 0) vp.send(2, 0);
     if (vp.id() == 1) vp.send_dummy(0, 5);
     if (vp.id() == 3) vp.send_dummy(2, 0x0102);
   });
@@ -203,33 +242,33 @@ TEST(Distributed, FramesAreLittleEndianAndStreamInOneWrite) {
   const auto row = [&stream](std::initializer_list<std::uint8_t> bytes) {
     stream.insert(stream.end(), bytes);
   };
-  // Header: kind 'B', aux = label 1, length = 3 events.
-  row({'B', 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0});
-  // src column: 0, 1, 3.
-  row({0, 0, 0, 0, 0, 0, 0, 0});
+  // A local superstep ships its degree vector. Header: kind 'L', aux =
+  // label 1, length = 1 + 5 + 0x0102 = 0x0108 messages.
+  row({'L', 1, 0, 0, 0, 8, 1, 0, 0, 0, 0, 0, 0});
+  // h(4): VP pairs {0,1} and {2,3} exchange only the one message 0 -> 2.
   row({1, 0, 0, 0, 0, 0, 0, 0});
-  row({3, 0, 0, 0, 0, 0, 0, 0});
-  // dst column: 1, 0, 2.
-  row({1, 0, 0, 0, 0, 0, 0, 0});
+  // h(8): VP 2 receives 1 + 0x0102.
+  row({3, 1, 0, 0, 0, 0, 0, 0});
+  // A small frame stays buffered: nothing is written, nothing is awaited.
+  EXPECT_TRUE(channel.sends.empty());
+
+  // A crossing superstep ships its events. Header: kind 'B', aux = label 0,
+  // length = 2 events; then the src, dst and count columns, no bitmap.
+  backend.superstep(0, [](auto& vp) {
+    if (vp.id() == 0) vp.send(5, 0);
+    if (vp.id() == 2) vp.send_dummy(7, 3);
+  });
+  row({'B', 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0});
   row({0, 0, 0, 0, 0, 0, 0, 0});
   row({2, 0, 0, 0, 0, 0, 0, 0});
-  // count column: 1, 5, 0x0102.
-  row({1, 0, 0, 0, 0, 0, 0, 0});
   row({5, 0, 0, 0, 0, 0, 0, 0});
-  row({2, 1, 0, 0, 0, 0, 0, 0});
-  // Dummy bitmap: events 1 and 2 are dummies.
-  row({6, 0, 0, 0, 0, 0, 0, 0});
-  // A small block stays buffered: nothing is written, nothing is awaited.
+  row({7, 0, 0, 0, 0, 0, 0, 0});
+  row({1, 0, 0, 0, 0, 0, 0, 0});
+  row({3, 0, 0, 0, 0, 0, 0, 0});
   EXPECT_TRUE(channel.sends.empty());
 
-  // An empty superstep after a full one: the frame is a bare header with
-  // every byte but the kind zero.
-  backend.superstep(0, [](auto&) {});
-  row({'B', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0});
-  EXPECT_TRUE(channel.sends.empty());
-
-  // The done frame, the same bare header under kind 'D', closes the stream:
-  // both blocks and it arrive as one write, byte for byte.
+  // The done frame, a bare header under kind 'D', closes the stream: both
+  // superstep frames and it arrive as one write, byte for byte.
   backend.finish();
   row({'D', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0});
   ASSERT_EQ(channel.sends.size(), 1u);
@@ -243,24 +282,23 @@ TEST(Distributed, ABlockOverOneBatchFlushesAtItsOwnClose) {
   backend.superstep(0, [](auto&) {});  // a bare header, buffered
   EXPECT_TRUE(channel.sends.empty());
 
-  // 24 column bytes per event: one more event than fills a batch.
+  // 24 column bytes per event: one more event than fills a batch. Label 0
+  // crosses workers, so the events ship as a 'B' block.
   constexpr std::uint64_t kEvents =
       dist::kStreamBatchBytes / (3 * sizeof(std::uint64_t)) + 1;
-  backend.superstep(1, [](auto& vp) {
+  backend.superstep(0, [](auto& vp) {
     if (vp.id() != 0) return;
     for (std::uint64_t e = 0; e < kEvents; ++e) vp.send_dummy(1);
   });
   ASSERT_EQ(channel.sends.size(), 1u);
   const std::vector<std::uint8_t>& sent = channel.sends[0];
-  const std::size_t body =
-      3 * kEvents * sizeof(std::uint64_t) + (kEvents + 63) / 64 * 8;
+  const std::size_t body = 3 * kEvents * sizeof(std::uint64_t);
   ASSERT_EQ(sent.size(), 13 + 13 + body);
   EXPECT_EQ(std::vector<std::uint8_t>(sent.begin(), sent.begin() + 13),
             std::vector<std::uint8_t>({'B', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
                                        0}));
   std::vector<std::uint8_t> header(13, 0);
   header[0] = 'B';
-  header[1] = 1;
   dist::put_le<std::uint64_t>(header.data() + 5, kEvents);
   EXPECT_EQ(std::vector<std::uint8_t>(sent.begin() + 13, sent.begin() + 26),
             header);
@@ -285,7 +323,7 @@ TEST(Distributed, TcpStaysWithinAConstantOfFork) {
   const auto total_ms = [&](dist::Transport transport) {
     dist::Measurement measurement;
     (void)dist::run_distributed(8, dist::DistConfig{2, transport},
-                                &measurement, nullptr, program);
+                                &measurement, program);
     EXPECT_EQ(measurement.superstep_ms.size(), 256u);
     return measurement.total_ms;
   };
@@ -308,13 +346,10 @@ TEST(Distributed, WorkerDeathMidSuperstepThrowsAndLeavesNoChild) {
     SCOPED_TRACE(dist::to_string(transport));
     const dist::DistConfig config{2, transport};
     const auto run = [&] {
-      (void)dist::run_distributed(8, config, nullptr, nullptr, program);
+      (void)dist::run_distributed(8, config, nullptr, program);
     };
     EXPECT_THROW(run(), std::runtime_error);
-    int status = 0;
-    errno = 0;
-    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
-    EXPECT_EQ(errno, ECHILD);
+    expect_no_child();
   }
 }
 
@@ -334,24 +369,17 @@ TEST(Distributed, BackpressureFromLargeBlocksKeepsTheMergeExact) {
       });
     }
   };
-  Schedule recorded;
-  RunOptions record_options;
-  record_options.backend = BackendKind::kRecord;
-  record_options.capture = &recorded;
-  const Trace reference =
-      run_for_trace<std::uint64_t>(256, record_options, program);
+  const Trace reference = run_for_trace<std::uint64_t>(
+      256, RunOptions{BackendKind::kRecord}, program);
   for (const dist::Transport transport :
        {dist::Transport::kFork, dist::Transport::kTcp}) {
     SCOPED_TRACE(dist::to_string(transport));
-    Schedule merged;
     RunOptions options;
     options.backend = BackendKind::kDistributed;
     options.dist = dist::DistConfig{2, transport};
-    options.capture = &merged;
     const Trace distributed =
         run_for_trace<std::uint64_t>(256, options, program);
     expect_traces_identical(distributed, reference);
-    expect_schedules_identical(merged, recorded);
   }
 }
 
@@ -379,15 +407,12 @@ TEST(Distributed, ErrorAfterBufferedFramesRethrowsAndLeavesNoChild) {
     SCOPED_TRACE(dist::to_string(transport));
     try {
       (void)dist::run_distributed(8, dist::DistConfig{2, transport}, nullptr,
-                                  nullptr, program);
+                                  program);
       ADD_FAILURE() << "expected ClusterViolation";
     } catch (const ClusterViolation& e) {
       EXPECT_EQ(std::string(e.what()), "vp 4 failed at superstep 300");
     }
-    int status = 0;
-    errno = 0;
-    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
-    EXPECT_EQ(errno, ECHILD);
+    expect_no_child();
   }
 }
 
