@@ -2,16 +2,18 @@
 //
 // For every AlgoEntry the auditor performs two independent static passes:
 //
-//   1. Taint classification — the kernel's program template is instantiated
-//      with Tainted payloads (audit/taint.hpp) on its registry workload and
-//      driven once by AuditBackend (audit/backend.hpp), which never
-//      executes a message: the result is a per-superstep map of where input
-//      values influence the communication structure (tainted destinations,
-//      tainted dummy counts, declassifications). The verdict is
-//      cross-checked against the registry's `input_independent` annotation:
-//      samplesort must flag, the other kernels must come back clean — a
-//      disagreement in either direction fails `nobl audit` and the pinned
-//      registry test.
+//   1. Taint classification — the entry's taint hook (AlgoEntry::taint)
+//      instantiates the kernel's program with Tainted payloads
+//      (audit/taint.hpp) on the runner's workload and drives it once under
+//      AuditBackend (audit/backend.hpp), which never executes a message.
+//      The registry derives hook and runner from one kernel definition, so
+//      the audit sees the program the runner runs. The result is a
+//      per-superstep map of where input values influence the communication
+//      structure (tainted destinations, tainted dummy counts,
+//      declassifications). The verdict is cross-checked against the
+//      registry's `input_independent` annotation: samplesort must flag,
+//      the other kernels must come back clean — a disagreement in either
+//      direction fails `nobl audit` and the pinned registry test.
 //
 //   2. Schedule lint — the kernel's recorded Schedule (BackendKind::kRecord
 //      at the same size) is checked against the structural invariants of

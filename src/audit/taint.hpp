@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "util/dep.hpp"
+#include "util/matrix.hpp"
 
 namespace nobl::audit {
 
@@ -215,6 +216,18 @@ template <typename T>
   std::vector<Tainted<T>> tracked;
   tracked.reserve(values.size());
   for (const T& value : values) tracked.push_back(source(value));
+  return tracked;
+}
+
+/// Taint every element of an input matrix at the injection boundary.
+template <typename T>
+[[nodiscard]] Matrix<Tainted<T>> source_all(const Matrix<T>& values) {
+  Matrix<Tainted<T>> tracked(values.rows(), values.cols());
+  for (std::size_t i = 0; i < values.rows(); ++i) {
+    for (std::size_t j = 0; j < values.cols(); ++j) {
+      tracked(i, j) = source(values(i, j));
+    }
+  }
   return tracked;
 }
 

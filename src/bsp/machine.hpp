@@ -151,9 +151,6 @@ class Machine : public SuperstepDriver<Machine<Payload>> {
     for (unsigned w = 0; w < lanes; ++w) lanes_.emplace_back(this->log_v());
   }
 
-  [[nodiscard]] const ExecutionPolicy& policy() const noexcept {
-    return policy_;
-  }
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
   /// Hand the recorded trace out by move; the machine is spent afterwards.
   [[nodiscard]] Trace take_trace() && noexcept { return std::move(trace_); }

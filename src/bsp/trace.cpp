@@ -215,14 +215,4 @@ std::uint64_t Trace::peak_degree(unsigned label, unsigned log_p) const {
   return label_peak_[label * (static_cast<std::size_t>(log_v_) + 1) + log_p];
 }
 
-void Trace::extend(const Trace& other) {
-  if (other.log_v_ != log_v_) {
-    throw std::invalid_argument("Trace::extend: incompatible machine sizes");
-  }
-  total_messages_ += other.total_messages_;
-  max_label_ = std::max(max_label_, other.max_label_);
-  cache_valid_ = false;
-  steps_.insert(steps_.end(), other.steps_.begin(), other.steps_.end());
-}
-
 }  // namespace nobl

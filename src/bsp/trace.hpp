@@ -217,13 +217,13 @@ class DegreeAccumulator {
 /// The recorded superstep sequence plus memoized cumulative tables.
 ///
 /// Caching: the per-label sums backing S/F/total_F/partial_F/total_S and
-/// peak_degree are built lazily on first query and invalidated by append()
-/// and extend(), so interleaved record/query phases stay correct and a pure
-/// query phase pays one O(supersteps · log v) build for O(1) lookups
-/// thereafter. The lazy build mutates cache state under const: concurrent
-/// first queries from multiple threads are not synchronized (the engine only
-/// appends single-threaded at the sync and analyses run after the fact). A
-/// trace shared between threads gets build_tables() first; after that every
+/// peak_degree are built lazily on first query and invalidated by append(),
+/// so interleaved record/query phases stay correct and a pure query phase
+/// pays one O(supersteps · log v) build for O(1) lookups thereafter. The
+/// lazy build mutates cache state under const: concurrent first queries
+/// from multiple threads are not synchronized (the engine only appends
+/// single-threaded at the sync and analyses run after the fact). A trace
+/// shared between threads gets build_tables() first; after that every
 /// query only reads.
 class Trace {
  public:
@@ -285,10 +285,6 @@ class Trace {
   /// that concurrent const queries on this trace only read it.
   void build_tables() const { ensure_cache(); }
 
-  /// Concatenate another trace after this one (used to compose phases of an
-  /// algorithm that is driven in separate machine runs).
-  void extend(const Trace& other);
-
  private:
   void check_log_p(unsigned log_p) const {
     if (log_p > log_v_) {
@@ -303,8 +299,8 @@ class Trace {
 
   unsigned log_v_ = 0;
   std::vector<SuperstepRecord> steps_;
-  std::uint64_t total_messages_ = 0;  ///< maintained eagerly on append/extend
-  unsigned max_label_ = 0;            ///< maintained eagerly on append/extend
+  std::uint64_t total_messages_ = 0;  ///< maintained eagerly on append
+  unsigned max_label_ = 0;            ///< maintained eagerly on append
 
   // Memoized tables, all flattened with stride log_v_ + 1 over folds:
   //   label_F_[i][j]  = Σ over i-supersteps of degree[j]

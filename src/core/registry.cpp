@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <complex>
+#include <functional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "algorithms/bitonic.hpp"
@@ -34,6 +36,22 @@ bool pow2_size_ge2(std::uint64_t n) { return is_pow2(n) && n >= 2; }
 bool square_pow2_size(std::uint64_t n) {
   return is_pow2(n) && log2_exact(n) % 2 == 0;
 }
+
+void require_admissible(const AlgoEntry& entry, std::uint64_t n) {
+  if (!entry.admits(n)) {
+    throw std::invalid_argument(entry.inadmissible_message(n));
+  }
+}
+
+/// The taint hook's input wrapper: every workload value enters the program
+/// tainted at the injection boundary.
+constexpr auto taint_input = [](const auto& input) {
+  if constexpr (std::is_arithmetic_v<std::decay_t<decltype(input)>>) {
+    return audit::source(input);
+  } else {
+    return audit::source_all(input);
+  }
+};
 
 }  // namespace
 
@@ -91,19 +109,23 @@ const AlgoEntry& AlgoRegistry::at(const std::string& name) const {
                               "\" (known: " + known + ")");
 }
 
-void AlgoRegistry::add(AlgoEntry entry) {
-  // Uniform admissibility gate in front of every runner: an inadmissible n
-  // (or unsupported backend) fails with the actionable registry message —
-  // offending n, size rule, nearest admissible size — instead of the
-  // kernel's bare invariant string.
-  PolicyRunner raw = std::move(entry.runner);
+// A kernel is declared once, as `kernel(n, input, interpret)`: it builds
+// the workload of size n from the workloads:: generators with seed n,
+// passes every input value through `input`, and returns
+// `interpret(v, program)` for its machine size v(n) and its *_program call.
+// The runner interprets the raw workload with run_for_trace<Payload>; the
+// taint hook interprets the workload tainted at injection with
+// audit::AuditBackend. Both sit behind one admissibility gate: an
+// inadmissible n (or unsupported backend) fails with the actionable
+// registry message — offending n, size rule, nearest admissible size —
+// instead of the kernel's bare invariant string.
+template <typename Payload, typename Kernel>
+void AlgoRegistry::add(Kernel kernel, AlgoEntry entry) {
   const std::size_t index = entries_.size();
-  entry.runner = [this, index, raw = std::move(raw)](
-                     std::uint64_t n, const RunOptions& options) {
+  entry.runner = [this, index, kernel](std::uint64_t n,
+                                       const RunOptions& options) {
     const AlgoEntry& self = entries_[index];
-    if (!self.admits(n)) {
-      throw std::invalid_argument(self.inadmissible_message(n));
-    }
+    require_admissible(self, n);
     if (!self.supports(options.backend)) {
       throw std::invalid_argument(self.name + ": backend \"" +
                                   to_string(options.backend) +
@@ -114,7 +136,18 @@ void AlgoRegistry::add(AlgoEntry entry) {
       // never interprets kAnalytic.
       return analytic_trace(self, n);
     }
-    return raw(n, options);
+    return kernel(n, std::identity{},
+                  [&options](std::uint64_t v, auto&& program) {
+                    return run_for_trace<Payload>(v, options, program);
+                  });
+  };
+  entry.taint = [this, index, kernel](std::uint64_t n) {
+    require_admissible(entries_[index], n);
+    return kernel(n, taint_input, [](std::uint64_t v, auto&& program) {
+      audit::AuditBackend backend(v);
+      program(backend);
+      return backend.take_report();
+    });
   };
   entries_.push_back(std::move(entry));
 }
@@ -122,19 +155,18 @@ void AlgoRegistry::add(AlgoEntry entry) {
 AlgoRegistry::AlgoRegistry() {
   using namespace workloads;
 
-  add({.name = "matmul",
+  add<MatmulMsg<long>>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        const std::uint64_t m = sqrt_pow2(n);
+        const auto a = input(random_matrix(m, m));
+        const auto b = input(random_matrix(m, m + 1));
+        return interpret(
+            n, [&](auto& bk) { (void)matmul_program(bk, a, b, true); });
+      },
+      {.name = "matmul",
        .summary = "semiring matrix multiplication, Theta(n^{1/3}) memory",
        .source = "Thm 4.2",
        .size_rule = "n = m^2 elements, m a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             const std::uint64_t m = sqrt_pow2(n);
-             const auto a = random_matrix(m, m);
-             const auto b = random_matrix(m, m + 1);
-             return run_for_trace<MatmulMsg<long>>(
-                 n, options,
-                 [&](auto& bk) { (void)matmul_program(bk, a, b, true); });
-           },
        .predicted = predict::matmul,
        .lower_bound = lb::matmul,
        .bench_sizes = {64, 4096, 16384},
@@ -145,19 +177,18 @@ AlgoRegistry::AlgoRegistry() {
        .validate = square_pow2_size,
        .max_sweep_size = std::uint64_t{1} << 18});
 
-  add({.name = "matmul-space",
+  add<MatmulSpaceMsg<long>>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        const std::uint64_t m = sqrt_pow2(n);
+        const auto a = input(random_matrix(m, m));
+        const auto b = input(random_matrix(m, m + 1));
+        return interpret(
+            n, [&](auto& bk) { (void)matmul_space_program(bk, a, b, true); });
+      },
+      {.name = "matmul-space",
        .summary = "space-efficient matrix multiplication, O(1) extra memory",
        .source = "Sec 4.1.1",
        .size_rule = "n = m^2 elements, m a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             const std::uint64_t m = sqrt_pow2(n);
-             const auto a = random_matrix(m, m);
-             const auto b = random_matrix(m, m + 1);
-             return run_for_trace<MatmulSpaceMsg<long>>(
-                 n, options,
-                 [&](auto& bk) { (void)matmul_space_program(bk, a, b, true); });
-           },
        .predicted = predict::matmul_space,
        .lower_bound = lb::matmul_space,
        .bench_sizes = {64, 1024, 4096},
@@ -168,17 +199,16 @@ AlgoRegistry::AlgoRegistry() {
        .validate = square_pow2_size,
        .max_sweep_size = std::uint64_t{1} << 18});
 
-  add({.name = "fft",
+  add<std::complex<double>>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        const auto signal = input(random_signal(n, n));
+        return interpret(
+            n, [&](auto& bk) { (void)fft_program(bk, signal, true); });
+      },
+      {.name = "fft",
        .summary = "network-oblivious FFT on the butterfly DAG",
        .source = "Thm 4.5",
        .size_rule = "n a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             const auto signal = random_signal(n, n);
-             return run_for_trace<std::complex<double>>(
-                 n, options,
-                 [&](auto& bk) { (void)fft_program(bk, signal, true); });
-           },
        .predicted = predict::fft,
        .lower_bound = lb::fft,
        .bench_sizes = {64, 1024, 16384},
@@ -188,17 +218,16 @@ AlgoRegistry::AlgoRegistry() {
        .header = "src/algorithms/fft.hpp",
        .validate = pow2_size});
 
-  add({.name = "sort",
+  add<std::uint64_t>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        const auto keys = input(random_keys(n, n));
+        return interpret(
+            n, [&](auto& bk) { (void)sort_program(bk, keys, true); });
+      },
+      {.name = "sort",
        .summary = "recursive Columnsort",
        .source = "Thm 4.8",
        .size_rule = "n a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             const auto keys = random_keys(n, n);
-             return run_for_trace<std::uint64_t>(
-                 n, options,
-                 [&](auto& bk) { (void)sort_program(bk, keys, true); });
-           },
        .predicted = predict::sort,
        .lower_bound = lb::sort,
        .bench_sizes = {64, 1024, 4096},
@@ -209,17 +238,16 @@ AlgoRegistry::AlgoRegistry() {
        .validate = pow2_size,
        .max_sweep_size = std::uint64_t{1} << 20});
 
-  add({.name = "bitonic",
+  add<std::uint64_t>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        const auto keys = input(random_keys(n, n));
+        return interpret(
+            n, [&](auto& bk) { (void)bitonic_sort_program(bk, keys); });
+      },
+      {.name = "bitonic",
        .summary = "Batcher's bitonic sorting network (ablation baseline)",
        .source = "Sec 4.3",
        .size_rule = "n a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             const auto keys = random_keys(n, n);
-             return run_for_trace<std::uint64_t>(
-                 n, options,
-                 [&](auto& bk) { (void)bitonic_sort_program(bk, keys); });
-           },
        .predicted = bitonic_predicted,
        .lower_bound = lb::sort,
        .bench_sizes = {64, 1024, 4096},
@@ -230,17 +258,17 @@ AlgoRegistry::AlgoRegistry() {
        .validate = pow2_size,
        .max_sweep_size = std::uint64_t{1} << 20});
 
-  add({.name = "stencil1",
+  add<double>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        const auto rod = input(random_rod(n, n));
+        return interpret(n, [&](auto& bk) {
+          (void)stencil1_program(bk, rod, heat_rule, true, 0);
+        });
+      },
+      {.name = "stencil1",
        .summary = "(n,1)-stencil diamond decomposition",
        .source = "Thm 4.11",
        .size_rule = "rod length n, a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             const auto rod = random_rod(n, n);
-             return run_for_trace<double>(n, options, [&](auto& bk) {
-               (void)stencil1_program(bk, rod, heat_rule, true, 0);
-             });
-           },
        .predicted = predict::stencil1,
        .lower_bound =
            [](std::uint64_t n, std::uint64_t p, double sigma) {
@@ -254,16 +282,17 @@ AlgoRegistry::AlgoRegistry() {
        .validate = pow2_size,
        .max_sweep_size = std::uint64_t{1} << 13});
 
-  add({.name = "stencil2",
+  add<std::uint8_t>(
+      [](std::uint64_t n, auto, auto interpret) {
+        // No input values reach the program: the schedule is a function
+        // of n alone, on M(n^2).
+        return interpret(
+            n * n, [&](auto& bk) { (void)stencil2_program(bk, n, true, 0); });
+      },
+      {.name = "stencil2",
        .summary = "(n,2)-stencil schedule on M(n^2) (cost-faithful)",
        .source = "Thm 4.13",
        .size_rule = "grid side n, a power of two >= 2 (v = n^2)",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             return run_for_trace<std::uint8_t>(
-                 n * n, options,
-                 [&](auto& bk) { (void)stencil2_program(bk, n, true, 0); });
-           },
        .predicted = predict::stencil2,
        .lower_bound =
            [](std::uint64_t n, std::uint64_t p, double sigma) {
@@ -277,17 +306,15 @@ AlgoRegistry::AlgoRegistry() {
        .validate = pow2_size_ge2,
        .max_sweep_size = std::uint64_t{1} << 10});
 
-  add({.name = "scan",
+  add<std::uint64_t>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        const auto addends = input(random_addends(n, n));
+        return interpret(n, [&](auto& bk) { (void)scan_program(bk, addends); });
+      },
+      {.name = "scan",
        .summary = "two-sweep tree prefix-scan (tree-reduction pattern)",
        .source = "Sec 4.5 dual / Sec 5",
        .size_rule = "n a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             const auto addends = random_addends(n, n);
-             return run_for_trace<std::uint64_t>(
-                 n, options,
-                 [&](auto& bk) { (void)scan_program(bk, addends); });
-           },
        .predicted = predict::scan,
        .lower_bound =
            [](std::uint64_t, std::uint64_t p, double sigma) {
@@ -302,18 +329,16 @@ AlgoRegistry::AlgoRegistry() {
        .analytic = analytic::scan_trace,
        .validate = pow2_size});
 
-  add({.name = "transpose",
+  add<long>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        const std::uint64_t m = sqrt_pow2(n);
+        const auto a = input(random_matrix(m, m));
+        return interpret(n, [&](auto& bk) { (void)transpose_program(bk, a); });
+      },
+      {.name = "transpose",
        .summary = "recursive block matrix transposition (all-to-all pattern)",
        .source = "Sec 4.2 building block",
        .size_rule = "n = m^2 elements, m a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             const std::uint64_t m = sqrt_pow2(n);
-             const auto a = random_matrix(m, m);
-             return run_for_trace<long>(
-                 n, options,
-                 [&](auto& bk) { (void)transpose_program(bk, a); });
-           },
        .predicted = predict::transpose,
        .lower_bound = lb::transpose,
        .bench_sizes = {64, 4096, 16384},
@@ -325,17 +350,16 @@ AlgoRegistry::AlgoRegistry() {
        .analytic = analytic::transpose_trace,
        .validate = square_pow2_size});
 
-  add({.name = "samplesort",
+  add<std::uint64_t>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        const auto keys = input(random_keys(n, n));
+        return interpret(
+            n, [&](auto& bk) { (void)samplesort_program(bk, keys); });
+      },
+      {.name = "samplesort",
        .summary = "splitter-based sample-sort (data-dependent routing)",
        .source = "Sec 4.3 ablation",
        .size_rule = "n a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             const auto keys = random_keys(n, n);
-             return run_for_trace<std::uint64_t>(
-                 n, options,
-                 [&](auto& bk) { (void)samplesort_program(bk, keys); });
-           },
        .predicted = predict::samplesort,
        .lower_bound = lb::sort,
        .bench_sizes = {64, 1024, 4096},
@@ -347,18 +371,16 @@ AlgoRegistry::AlgoRegistry() {
        .validate = pow2_size,
        .max_sweep_size = std::uint64_t{1} << 16});
 
-  add({.name = "broadcast",
+  add<std::uint64_t>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        return interpret(n, [&](auto& bk) {
+          (void)broadcast_program(bk, 2, input(std::uint64_t{1}));
+        });
+      },
+      {.name = "broadcast",
        .summary = "network-oblivious binary-tree broadcast (fanout 2)",
        .source = "Sec 4.5 / Thm 4.16",
        .size_rule = "n = v processors, a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             return run_for_trace<std::uint64_t>(
-                 n, options,
-                 [&](auto& bk) {
-                   (void)broadcast_program(bk, 2, std::uint64_t{1});
-                 });
-           },
        .predicted =
            [](std::uint64_t, std::uint64_t p, double sigma) {
              return predict::broadcast_oblivious(p, sigma, 2);
@@ -376,17 +398,16 @@ AlgoRegistry::AlgoRegistry() {
        .analytic = analytic::broadcast_trace,
        .validate = pow2_size});
 
-  add({.name = "reduce",
+  add<std::uint64_t>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        const auto addends = input(random_addends(n, n));
+        return interpret(
+            n, [&](auto& bk) { (void)reduce_program(bk, addends); });
+      },
+      {.name = "reduce",
        .summary = "full-machine tree reduction (scan's upsweep, exact H)",
        .source = "Sec 4.5 dual",
        .size_rule = "n a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             const auto addends = random_addends(n, n);
-             return run_for_trace<std::uint64_t>(
-                 n, options,
-                 [&](auto& bk) { (void)reduce_program(bk, addends); });
-           },
        .predicted = predict::reduce,
        .lower_bound =
            [](std::uint64_t, std::uint64_t p, double sigma) {
@@ -401,17 +422,16 @@ AlgoRegistry::AlgoRegistry() {
        .analytic = analytic::reduce_trace,
        .validate = pow2_size});
 
-  add({.name = "gather",
+  add<std::uint64_t>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        const auto values = input(random_keys(n, n));
+        return interpret(
+            n, [&](auto& bk) { (void)gather_program(bk, values); });
+      },
+      {.name = "gather",
        .summary = "flat gather at VP 0 (maximally unbalanced, exact H)",
        .source = "Sec 4.5 counterpoint",
        .size_rule = "n a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             const auto values = random_keys(n, n);
-             return run_for_trace<std::uint64_t>(
-                 n, options,
-                 [&](auto& bk) { (void)gather_program(bk, values); });
-           },
        .predicted = predict::gather,
        .lower_bound = lb::gather,
        .bench_sizes = {64, 4096, 65536},
@@ -423,17 +443,15 @@ AlgoRegistry::AlgoRegistry() {
        .analytic = analytic::gather_trace,
        .validate = pow2_size});
 
-  add({.name = "shift",
+  add<std::uint64_t>(
+      [](std::uint64_t n, auto input, auto interpret) {
+        const auto values = input(random_keys(n, n));
+        return interpret(n, [&](auto& bk) { (void)shift_program(bk, values); });
+      },
+      {.name = "shift",
        .summary = "cyclic n/2-shift (maximally balanced all-cross, exact H)",
        .source = "Sec 2 folding",
        .size_rule = "n a power of two",
-       .runner =
-           [](std::uint64_t n, const RunOptions& options) {
-             const auto values = random_keys(n, n);
-             return run_for_trace<std::uint64_t>(
-                 n, options,
-                 [&](auto& bk) { (void)shift_program(bk, values); });
-           },
        .predicted = predict::shift,
        .lower_bound = lb::shift,
        .bench_sizes = {64, 4096, 65536},

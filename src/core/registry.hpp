@@ -1,12 +1,17 @@
 // AlgoRegistry: the single catalogue of network-oblivious algorithms.
 //
-// Every algorithm entry point under src/algorithms/ registers here with
+// Every algorithm entry point under src/algorithms/ registers here once:
+// one kernel definition fixes its machine size v(n), its workload (built
+// deterministically from n, see core/workloads.hpp) and its *_program call,
+// and from it the registry derives
 //
 //   * a PolicyRunner executing one specification-model run of size n under a
-//     chosen backend and engine (bsp/backend.hpp::RunOptions — inputs are
-//     generated deterministically from n, see core/workloads.hpp; traces are
+//     chosen backend and engine (bsp/backend.hpp::RunOptions; traces are
 //     input-oblivious for every kernel except sample-sort, whose routing
 //     degrees the fixed seed pins),
+//   * a taint hook running the same program on the same workload, tainted
+//     at injection, under audit::AuditBackend — the pass `nobl audit`
+//     checks the input_independent annotation with (audit/kernel_audit.hpp),
 //   * its closed-form predicted cost (Section 4 upper bounds) and the
 //     matching lower bound, both as CostFormula (n, p, σ) -> value,
 //   * the size sweeps its bench and the CI smoke campaign use,
@@ -18,21 +23,24 @@
 //     exactness and input-independence flags) that `nobl list --json`
 //     emits and docs/KERNELS.md is generated from.
 //
-// The bench binaries, the `nobl` CLI and the campaign runner all pull
-// runners and formulas from here instead of re-declaring them, so adding an
-// algorithm in one place makes it visible to `nobl list`, `nobl run`,
-// `nobl certify`, the benches, and the conformance tests at once.
+// The bench binaries, the `nobl` CLI, the campaign runner and the auditor
+// all pull runners and formulas from here instead of re-declaring them, so
+// adding an algorithm is one registry entry: it becomes visible to
+// `nobl list`, `nobl run`, `nobl certify`, `nobl audit`, the benches, and
+// the conformance tests at once.
 //
-// Admissibility: AlgoRegistry::add wraps every runner so that an
-// inadmissible n fails with one uniform, actionable message — the offending
-// n, the size rule, and the nearest admissible size — instead of each
-// kernel's bare invariant string (the historical admits()/runner asymmetry).
+// Admissibility: AlgoRegistry::add wraps the runner and the taint hook so
+// that an inadmissible n fails with one uniform, actionable message — the
+// offending n, the size rule, and the nearest admissible size — instead of
+// each kernel's bare invariant string.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "audit/backend.hpp"
 #include "bsp/backend.hpp"
 #include "core/experiment.hpp"
 #include "core/optimality.hpp"
@@ -45,10 +53,15 @@ struct AlgoEntry {
   std::string source;   ///< paper anchor, e.g. "Thm 4.5"
   /// Constraint on admissible n, shown in `nobl list` and error messages.
   std::string size_rule;
-  PolicyRunner runner;
+  /// One specification-model run of size n (set by AlgoRegistry::add).
+  PolicyRunner runner{};
+  /// The taint pass at size n: the runner's program and workload, every
+  /// input tainted at injection, driven once by audit::AuditBackend (set
+  /// by AlgoRegistry::add).
+  std::function<audit::AuditReport(std::uint64_t n)> taint{};
   CostFormula predicted;
   CostFormula lower_bound;
-  /// The bench binaries' historical sweep (kept byte-identical by tests).
+  /// The bench binaries' size sweep.
   std::vector<std::uint64_t> bench_sizes;
   /// Small sizes for the ci-smoke campaign (seconds, not minutes).
   std::vector<std::uint64_t> smoke_sizes;
@@ -123,7 +136,10 @@ class AlgoRegistry {
 
  private:
   AlgoRegistry();
-  void add(AlgoEntry entry);
+  /// Register `entry`, deriving its runner and taint hook from one kernel
+  /// definition (registry.cpp).
+  template <typename Payload, typename Kernel>
+  void add(Kernel kernel, AlgoEntry entry);
 
   std::vector<AlgoEntry> entries_;
 };

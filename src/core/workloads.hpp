@@ -73,9 +73,11 @@ inline std::vector<std::uint64_t> duplicate_heavy_keys(
   return keys;
 }
 
-/// The 1-D heat rule used by every stencil1 experiment in the repo.
-inline double heat_rule(double l, double c, double r) {
+/// The 1-D heat rule used by every stencil1 experiment in the repo. Generic,
+/// so the taint pass runs the same rule on tracked values.
+inline constexpr auto heat_rule = [](const auto& l, const auto& c,
+                                     const auto& r) {
   return 0.25 * l + 0.5 * c + 0.25 * r;
-}
+};
 
 }  // namespace nobl::workloads

@@ -231,28 +231,14 @@ bool DistributedBackend::flush() {
   return sent;
 }
 
-Trace run_distributed(std::uint64_t v, const DistConfig& config,
-                      Measurement* measure,
-                      const std::function<void(DistributedBackend&)>& program) {
+Trace merge_streams(std::uint64_t v, const std::vector<Channel*>& workers,
+                    std::vector<double>& superstep_ms) {
   const unsigned log_v = log2_exact(v);
-  std::uint64_t workers = config.workers == 0 ? 4 : config.workers;
-  if (workers > v) workers = v;
-  workers = std::bit_floor(workers);  // power of two => equal contiguous
-  if (workers == 0) workers = 1;      // clusters that divide v exactly
-  const std::uint64_t span = v / workers;
-  const unsigned log_workers = log2_exact(workers);
-
-  const auto run_start = std::chrono::steady_clock::now();
-  std::vector<WorkerLink> links = spawn_workers(
-      config.transport, static_cast<unsigned>(workers),
-      [&](unsigned index, Channel& channel) {
-        worker_main(v, index * span, (index + 1) * span, program, channel);
-      });
-  Reaper reaper(links);
+  const unsigned log_workers = log2_exact(workers.size());
+  const std::uint64_t span = v >> log_workers;
 
   Trace trace(log_v);
   DegreeAccumulator acc(log_v);
-  std::vector<double> superstep_ms;
   std::uint8_t header[kHeaderBytes] = {};
   std::vector<std::uint8_t> body;  // reused by every frame
 
@@ -266,8 +252,8 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
     SuperstepRecord record;
     record.degree.assign(log_v + 1u, 0);
     bool local = false;  // whether this superstep is local
-    for (unsigned w = 0; w < workers; ++w) {
-      Channel& channel = *links[w].channel;
+    for (unsigned w = 0; w < workers.size(); ++w) {
+      Channel& channel = *workers[w];
       if (!channel.recv(header, kHeaderBytes)) worker_gone(w);
       const std::uint8_t kind = header[0];
       const auto aux = get_le<std::uint32_t>(header + 1);
@@ -287,10 +273,8 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
         }
         done = true;
         // The remaining workers must agree the program is over.
-        for (unsigned other = 1; other < workers; ++other) {
-          if (!links[other].channel->recv(header, kHeaderBytes)) {
-            worker_gone(other);
-          }
+        for (unsigned other = 1; other < workers.size(); ++other) {
+          if (!workers[other]->recv(header, kHeaderBytes)) worker_gone(other);
           if (header[0] != kFrameDone) {
             throw std::runtime_error(
                 "dist: workers disagree on the superstep count");
@@ -342,6 +326,32 @@ Trace run_distributed(std::uint64_t v, const DistConfig& config,
     trace.append(std::move(record));
     superstep_ms.push_back(ms_since(step_start));
   }
+  return trace;
+}
+
+Trace run_distributed(std::uint64_t v, const DistConfig& config,
+                      Measurement* measure,
+                      const std::function<void(DistributedBackend&)>& program) {
+  (void)log2_exact(v);  // reject a bad v before any worker forks
+  std::uint64_t workers = config.workers == 0 ? 4 : config.workers;
+  if (workers > v) workers = v;
+  workers = std::bit_floor(workers);  // power of two => equal contiguous
+  if (workers == 0) workers = 1;      // clusters that divide v exactly
+  const std::uint64_t span = v / workers;
+
+  const auto run_start = std::chrono::steady_clock::now();
+  std::vector<WorkerLink> links = spawn_workers(
+      config.transport, static_cast<unsigned>(workers),
+      [&](unsigned index, Channel& channel) {
+        worker_main(v, index * span, (index + 1) * span, program, channel);
+      });
+  Reaper reaper(links);
+
+  std::vector<Channel*> channels;
+  channels.reserve(links.size());
+  for (const WorkerLink& link : links) channels.push_back(link.channel.get());
+  std::vector<double> superstep_ms;
+  Trace trace = merge_streams(v, channels, superstep_ms);
 
   reaper.reap();
   if (measure != nullptr) {

@@ -208,9 +208,23 @@ class DistributedBackend : public SuperstepDriver<DistributedBackend> {
   std::vector<std::uint8_t> frame_;  ///< encoded frames not yet written
 };
 
+/// The coordinator's merge: drain the workers' frame streams superstep by
+/// superstep, in worker order, until every worker sends its done frame, and
+/// return the merged trace of M(v) (file comment). `workers` holds one
+/// channel per worker in worker-index order; their count is a power of two
+/// dividing v, and worker w owns VPs [w * span, (w + 1) * span), span =
+/// v / workers. A worker's error frame is rethrown with its exception type
+/// and message; a stream that ends early, or workers that disagree on a
+/// superstep's label, its frame kind or the superstep count, throw
+/// std::runtime_error. Each superstep's wait + merge time is appended to
+/// `superstep_ms`.
+[[nodiscard]] Trace merge_streams(std::uint64_t v,
+                                  const std::vector<Channel*>& workers,
+                                  std::vector<double>& superstep_ms);
+
 /// Coordinator entry point: fork `config`-many workers over the selected
-/// transport, run `program` in each, merge every superstep's frames (file
-/// comment), and return the merged trace. When `measure` is non-null it
+/// transport, run `program` in each, merge their streams (merge_streams),
+/// and return the merged trace. When `measure` is non-null it
 /// receives the per-superstep wall-clock column. No global event stream
 /// exists to hand out: a local superstep's events never leave their worker.
 ///

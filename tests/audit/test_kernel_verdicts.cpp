@@ -3,6 +3,7 @@
 // lint clean. A kernel whose annotation drifts from what its program
 // actually does — in either direction — fails here by name.
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -76,6 +77,24 @@ TEST(KernelVerdicts, ObliviousKernelIsEventFreeNotMerelyBalanced) {
   EXPECT_FALSE(verdict.report.steps.empty());
 }
 
+TEST(KernelVerdicts, TaintHookRunsTheRunnersProgram) {
+  // The taint pass and the runner derive from one kernel definition: at
+  // every smoke size they drive the same superstep sequence.
+  for (const AlgoEntry& entry : AlgoRegistry::instance().entries()) {
+    for (const std::uint64_t n : entry.smoke_sizes) {
+      SCOPED_TRACE(entry.name + " n=" + std::to_string(n));
+      const AuditReport report = entry.taint(n);
+      const Trace trace = entry.runner(n, RunOptions{BackendKind::kCost});
+      EXPECT_EQ(report.log_v, trace.log_v());
+      ASSERT_EQ(report.steps.size(), trace.supersteps());
+      for (std::size_t s = 0; s < report.steps.size(); ++s) {
+        EXPECT_EQ(report.steps[s].label, trace.steps()[s].label)
+            << "superstep " << s;
+      }
+    }
+  }
+}
+
 TEST(KernelVerdicts, ExplicitSizeOverridesDefault) {
   const KernelVerdict verdict =
       audit_kernel(AlgoRegistry::instance().at("scan"), 128);
@@ -84,8 +103,13 @@ TEST(KernelVerdicts, ExplicitSizeOverridesDefault) {
 }
 
 TEST(KernelVerdicts, InadmissibleSizeFailsWithRegistryMessage) {
-  EXPECT_THROW((void)audit_kernel(AlgoRegistry::instance().at("scan"), 100),
-               std::invalid_argument);
+  const AlgoEntry& scan = AlgoRegistry::instance().at("scan");
+  try {
+    (void)audit_kernel(scan, 100);
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), scan.inadmissible_message(100));
+  }
 }
 
 }  // namespace

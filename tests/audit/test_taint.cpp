@@ -10,6 +10,7 @@
 
 #include "audit/taint.hpp"
 #include "util/dep.hpp"
+#include "util/matrix.hpp"
 
 namespace nobl::audit {
 namespace {
@@ -33,6 +34,15 @@ TEST_F(TaintTest, SourceTaintsAtInjection) {
   const auto xs = source_all(std::vector<std::uint64_t>{1, 2, 3});
   ASSERT_EQ(xs.size(), 3u);
   for (const auto& value : xs) EXPECT_TRUE(value.tainted());
+
+  Matrix<long> m(2, 3);
+  m(1, 2) = -5;
+  const auto ms = source_all(m);
+  ASSERT_EQ(ms.rows(), 2u);
+  ASSERT_EQ(ms.cols(), 3u);
+  EXPECT_EQ(ms(1, 2).raw(), -5);
+  for (const auto& value : ms.data()) EXPECT_TRUE(value.tainted());
+  EXPECT_EQ(pending_declassifications(), 0u);
 }
 
 TEST_F(TaintTest, ArithmeticMergesTaint) {

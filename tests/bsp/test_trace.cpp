@@ -84,7 +84,7 @@ TEST(Trace, AllAccessorsRejectFoldBeyondLogV) {
   EXPECT_THROW((void)t.peak_degree(0, 3), std::out_of_range);
 }
 
-TEST(Trace, CachedTablesInvalidateOnAppendAndExtend) {
+TEST(Trace, CachedTablesInvalidateOnAppend) {
   Trace t(2);
   t.append(make_record(2, 0, {0, 1, 2}, 3));
   // Query first so the cumulative tables are built, then mutate.
@@ -94,9 +94,7 @@ TEST(Trace, CachedTablesInvalidateOnAppendAndExtend) {
   EXPECT_EQ(t.total_F(2), 6u);
   EXPECT_EQ(t.total_S(2), 2u);
   EXPECT_EQ(t.F(1, 2), 4u);
-  Trace other(2);
-  other.append(make_record(2, 0, {0, 2, 2}, 5));
-  t.extend(other);
+  t.append(make_record(2, 0, {0, 2, 2}, 5));
   EXPECT_EQ(t.total_F(2), 8u);
   EXPECT_EQ(t.total_S(2), 3u);
   EXPECT_EQ(t.partial_F(1, 2), 4u);
@@ -120,19 +118,6 @@ TEST(Trace, TotalMessagesAndMaxLabel) {
   t.append(make_record(2, 1, {0, 0, 1}, 5));
   EXPECT_EQ(t.total_messages(), 15u);
   EXPECT_EQ(t.max_label(), 1u);
-}
-
-TEST(Trace, ExtendConcatenates) {
-  Trace a(2);
-  a.append(make_record(2, 0, {0, 1, 1}));
-  Trace b(2);
-  b.append(make_record(2, 1, {0, 0, 2}));
-  b.append(make_record(2, 1, {0, 0, 3}));
-  a.extend(b);
-  EXPECT_EQ(a.supersteps(), 3u);
-  EXPECT_EQ(a.F(1, 2), 5u);
-  Trace c(3);
-  EXPECT_THROW(a.extend(c), std::invalid_argument);
 }
 
 TEST(Trace, LabelBoundHonorsUnitMachine) {

@@ -19,6 +19,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <memory>
 #include <stdexcept>
@@ -309,6 +310,105 @@ TEST(Distributed, ABlockOverOneBatchFlushesAtItsOwnClose) {
             std::vector<std::uint8_t>({'D', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
                                        0}));
   EXPECT_EQ(channel.recvs, 0);
+}
+
+/// Serves a fixed byte script to the coordinator as one worker's stream;
+/// recv fails once the script runs out, like a worker that died.
+class ScriptedChannel final : public dist::Channel {
+ public:
+  explicit ScriptedChannel(std::vector<std::uint8_t> script)
+      : script_(std::move(script)) {}
+  bool send(const void*, std::size_t) override { return true; }
+  bool recv(void* data, std::size_t len) override {
+    if (len > script_.size() - at_) return false;
+    std::memcpy(data, script_.data() + at_, len);
+    at_ += len;
+    return true;
+  }
+
+ private:
+  std::vector<std::uint8_t> script_;
+  std::size_t at_ = 0;
+};
+
+/// Append one frame to `stream`: the header `kind, label, length`, then
+/// `words` as the little-endian u64 body.
+void put_frame(std::vector<std::uint8_t>& stream, std::uint8_t kind,
+               std::uint32_t label, std::uint64_t length,
+               std::initializer_list<std::uint64_t> words = {}) {
+  const std::size_t at = stream.size();
+  stream.resize(at + 13 + words.size() * sizeof(std::uint64_t));
+  std::uint8_t* out = stream.data() + at;
+  out[0] = kind;
+  dist::put_le(out + 1, label);
+  dist::put_le(out + 5, length);
+  out += 13;
+  for (const std::uint64_t word : words) {
+    dist::put_le(out, word);
+    out += sizeof(std::uint64_t);
+  }
+}
+
+/// Merge M(8) from one scripted stream per worker, and check the merge
+/// timed every superstep it returns.
+Trace merge_scripts(const std::vector<std::vector<std::uint8_t>>& scripts) {
+  std::vector<std::unique_ptr<ScriptedChannel>> owned;
+  std::vector<dist::Channel*> channels;
+  for (const auto& script : scripts) {
+    owned.push_back(std::make_unique<ScriptedChannel>(script));
+    channels.push_back(owned.back().get());
+  }
+  std::vector<double> superstep_ms;
+  Trace trace = dist::merge_streams(8, channels, superstep_ms);
+  EXPECT_EQ(superstep_ms.size(), trace.supersteps());
+  return trace;
+}
+
+TEST(Distributed, MergeCountsBlocksAndMaxesDegreeVectors) {
+  // Two workers of four VPs each (log W = 1): label 0 crosses, label 1 is
+  // local.
+  std::vector<std::uint8_t> first;
+  std::vector<std::uint8_t> second;
+  // Crossing: VP 0 -> VP 4 and VP 4 -> VP 0, one (src, dst, count) each.
+  put_frame(first, 'B', 0, 1, {0, 4, 1});
+  put_frame(second, 'B', 0, 1, {4, 0, 1});
+  // Local: each worker's h(4), h(8) and message total.
+  put_frame(first, 'L', 1, 3, {2, 3});
+  put_frame(second, 'L', 1, 6, {1, 5});
+  put_frame(first, 'D', 0, 0);
+  put_frame(second, 'D', 0, 0);
+
+  const Trace trace = merge_scripts({first, second});
+  ASSERT_EQ(trace.supersteps(), 2u);
+  EXPECT_EQ(trace.steps()[0].label, 0u);
+  EXPECT_EQ(trace.steps()[0].degree, (std::vector<std::uint64_t>{0, 1, 1, 1}));
+  EXPECT_EQ(trace.steps()[0].messages, 2u);
+  EXPECT_EQ(trace.steps()[1].label, 1u);
+  EXPECT_EQ(trace.steps()[1].degree, (std::vector<std::uint64_t>{0, 0, 2, 5}));
+  EXPECT_EQ(trace.steps()[1].messages, 9u);
+}
+
+TEST(Distributed, MergeRejectsAFrameKindThatContradictsItsLabel) {
+  // A 'B' block under local label 1 would be counted into the merge's
+  // accumulator and never finalized; an 'L' vector under crossing label 0
+  // would stand in for events that never arrived.
+  std::vector<std::uint8_t> block_under_local;
+  put_frame(block_under_local, 'B', 1, 1, {0, 1, 1});
+  put_frame(block_under_local, 'D', 0, 0);
+  std::vector<std::uint8_t> local_under_crossing;
+  put_frame(local_under_crossing, 'L', 0, 1, {1, 1});
+  put_frame(local_under_crossing, 'D', 0, 0);
+  for (const auto& script : {block_under_local, local_under_crossing}) {
+    // Both workers send the same well-formed frames, so only the kind
+    // check can object.
+    try {
+      (void)merge_scripts({script, script});
+      ADD_FAILURE() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "dist: workers disagree on superstep labels");
+    }
+  }
 }
 
 TEST(Distributed, TcpStaysWithinAConstantOfFork) {
