@@ -257,8 +257,9 @@ mm_detail::ProgramResult<T> matmul_program(Backend& bk, const Matrix<T>& a,
         st.c.push_back(E{i, j, lc(i, j)});
       }
     }
-    st.a.clear();
-    st.b.clear();
+    // Release the operands: the combine cascade never reads them again.
+    std::vector<E>().swap(st.a);
+    std::vector<E>().swap(st.b);
   };
 
   // Host mirror of the child combine traffic at the owner of a level-(λ+1)

@@ -31,6 +31,10 @@
 //     and hands back the program's output with the trace.
 //     vp.inbox() and bk.inbox(r) return a std::span<const Message<Payload>>
 //     over the simulator's flat mail array, valid until the next sync.
+//     Trace-only runs (run_for_trace, hence every registry runner) use
+//     SimulateBackend<void>: the same drivers, rule checks, degree
+//     accounting and engines, but no payload is staged or delivered and
+//     `delivers` is false.
 //
 //   CostBackend — drives the same bodies sequentially but intercepts
 //     send/send_dummy into DegreeAccumulator bucketing only: no payload
@@ -353,7 +357,9 @@ template <typename Payload, typename ProgramFn>
 /// under the selected backend and return the recorded trace. The record
 /// backend returns the trace re-derived from its Schedule, so every
 /// `--backend record` run exercises the record -> replay path end to end.
-template <typename Payload, typename ProgramFn>
+/// The simulating backend runs as SimulateBackend<void>: only the trace
+/// leaves this function, so no payload is routed.
+template <typename ProgramFn>
 [[nodiscard]] Trace run_for_trace(std::uint64_t v, const RunOptions& options,
                                   ProgramFn&& program) {
   switch (options.backend) {
@@ -383,7 +389,7 @@ template <typename Payload, typename ProgramFn>
           [&program](dist::DistributedBackend& backend) { program(backend); });
     case BackendKind::kSimulate:
     default:
-      return run_program<Payload>(v, program, options.policy).trace;
+      return run_program<void>(v, program, options.policy).trace;
   }
 }
 

@@ -20,6 +20,13 @@
 //     (see bsp/trace.hpp), including "dummy" messages — the paper's device
 //     for making algorithms (Θ(1), p)-wise without touching their state.
 //
+// Machine<void> is the trace-only simulator. It keeps the superstep drivers,
+// the rule checks, the per-lane degree accumulators and both engines, but
+// routes nothing: it has no staging, no mail array and no inboxes, and
+// `delivers` is false, so programs take their host-mirror paths as under
+// CostBackend. Vp<void>::send accepts any payload and drops it unread. A run
+// that only needs the trace (every registry runner) uses it.
+//
 // Because the superstep sequence is issued by the host, every algorithm
 // written against this API is *static* in the paper's sense: the number,
 // order and labels of supersteps depend only on the input size.
@@ -78,6 +85,14 @@ struct Message {
   Payload data{};
 };
 
+/// The payload parameter of Vp<void>::send: any payload converts to it and
+/// is dropped unread.
+struct DroppedPayload {
+  template <typename T>
+  // NOLINTNEXTLINE(runtime/explicit): deliberate converting constructor
+  DroppedPayload(T&& /*payload*/) noexcept {}
+};
+
 template <typename Payload>
 class Machine;
 
@@ -86,6 +101,8 @@ template <typename Payload>
 class Vp {
  public:
   using MessageT = Message<Payload>;
+  using SendPayload =
+      std::conditional_t<std::is_void_v<Payload>, DroppedPayload, Payload>;
 
   /// This virtual processor's index r, 0 <= r < v.
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
@@ -95,13 +112,15 @@ class Vp {
 
   /// Messages delivered at the sync that opened this superstep (i.e. all
   /// messages sent to this VP during the previous superstep).
-  [[nodiscard]] std::span<const MessageT> inbox() const noexcept {
+  [[nodiscard]] std::span<const MessageT> inbox() const noexcept
+    requires(!std::is_void_v<Payload>)
+  {
     return machine_->inbox_of(id_);
   }
 
   /// send(m, q) of Section 2. The destination must lie in the sender's
   /// i-cluster, where i is the current superstep's label.
-  void send(std::uint64_t dst, Payload data) {
+  void send(std::uint64_t dst, SendPayload data) {
     machine_->enqueue(id_, lane_, dst, std::move(data));
   }
 
@@ -126,10 +145,11 @@ class Machine : public SuperstepDriver<Machine<Payload>> {
  public:
   using MessageT = Message<Payload>;
 
-  /// Machine models the delivering half of the Backend concept
+  /// Machine<Payload> models the delivering half of the Backend concept
   /// (bsp/backend.hpp): programs may read payloads back — bk.inbox(r)
   /// between supersteps — inside `if constexpr (Backend::delivers)` regions.
-  static constexpr bool delivers = true;
+  /// Machine<void> delivers nothing (file comment).
+  static constexpr bool delivers = !std::is_void_v<Payload>;
 
   /// Create an M(v). v must be a power of two (Section 2's assumption).
   explicit Machine(std::uint64_t v,
@@ -142,7 +162,7 @@ class Machine : public SuperstepDriver<Machine<Payload>> {
         policy_.num_threads == 0) {
       throw std::invalid_argument("Machine: parallel policy needs >= 1 thread");
     }
-    box_.resize(v);
+    if constexpr (delivers) mail_.box.resize(v);
     if (policy_.is_parallel()) {
       pool_ = std::make_unique<WorkerPool>(policy_.num_threads);
     }
@@ -163,7 +183,9 @@ class Machine : public SuperstepDriver<Machine<Payload>> {
   /// Read access to a VP's current inbox between supersteps (used to extract
   /// results after the final sync). The view stays valid until the next
   /// sync. Throws std::out_of_range for vp >= v.
-  [[nodiscard]] std::span<const MessageT> inbox(std::uint64_t vp) const {
+  [[nodiscard]] std::span<const MessageT> inbox(std::uint64_t vp) const
+    requires delivers
+  {
     if (vp >= this->v()) {
       throw std::out_of_range("Machine: inbox VP out of range");
     }
@@ -175,8 +197,10 @@ class Machine : public SuperstepDriver<Machine<Payload>> {
   /// Section 6 lists memory-constrained evaluation as future work; this
   /// audit is the hook for studying it (cf. the space-bounded schedulers of
   /// Chowdhury et al. / Simhadri et al.).
-  [[nodiscard]] std::uint64_t peak_inbox_messages() const noexcept {
-    return peak_inbox_;
+  [[nodiscard]] std::uint64_t peak_inbox_messages() const noexcept
+    requires delivers
+  {
+    return mail_.peak_inbox;
   }
 
  private:
@@ -193,29 +217,48 @@ class Machine : public SuperstepDriver<Machine<Payload>> {
     Payload data;
   };
 
-  /// One worker lane: its degree counters and the sends of the VPs it ran,
-  /// in execution order. A lane runs an ascending chunk of the active VPs,
-  /// so its sends are in (sender index, send order). Aligned so that two
-  /// workers never write the same cache line.
-  struct alignas(64) Lane {
-    explicit Lane(unsigned log_v) : acc(log_v) {}
-    DegreeAccumulator acc;
+  /// A lane's sends, in execution order. A lane runs an ascending chunk of
+  /// the active VPs, so its sends are in (sender index, send order).
+  struct Outbox {
     std::vector<Staged> staged;
     /// Sends this lane staged in the previous superstep.
     std::size_t last_staged = 0;
   };
 
-  /// A VP's inbox: mail_[begin, begin + count). {0, 0} unless the last sync
-  /// delivered to the VP.
+  /// What Machine<void> keeps in place of an Outbox or the Mail.
+  struct NoMail {};
+
+  /// One worker lane: its degree counters and, when the machine delivers,
+  /// its outbox. Aligned so that two workers never write the same cache
+  /// line.
+  struct alignas(64) Lane {
+    explicit Lane(unsigned log_v) : acc(log_v) {}
+    DegreeAccumulator acc;
+    [[no_unique_address]] std::conditional_t<delivers, Outbox, NoMail> out;
+  };
+
+  /// A VP's inbox: messages[begin, begin + count). {0, 0} unless the last
+  /// sync delivered to the VP.
   struct Box {
     std::uint64_t begin = 0;
     std::uint64_t count = 0;
   };
 
+  /// The delivered side of a delivering machine.
+  struct Mail {
+    /// Every message the last sync delivered, grouped by recipient.
+    std::vector<MessageT> messages;
+    /// box[r]: VP r's slice of messages.
+    std::vector<Box> box;
+    /// VPs whose inbox the last sync filled, in first-delivery order.
+    std::vector<std::uint64_t> filled;
+    std::uint64_t peak_inbox = 0;
+  };
+
   [[nodiscard]] std::span<const MessageT> inbox_of(
       std::uint64_t vp) const noexcept {
-    const Box& box = box_[vp];
-    return {mail_.data() + box.begin, box.count};
+    const Box& box = mail_.box[vp];
+    return {mail_.messages.data() + box.begin, box.count};
   }
 
   /// Under the sequential engine a range superstep closes with a
@@ -229,7 +272,9 @@ class Machine : public SuperstepDriver<Machine<Payload>> {
     // The staging buffers are released at every sync, so that they hold no
     // memory between supersteps. Supersteps of one phase send alike: sizing
     // them from the previous superstep spares push_back's doubling.
-    for (Lane& lane : lanes_) lane.staged.reserve(lane.last_staged);
+    if constexpr (delivers) {
+      for (Lane& lane : lanes_) lane.out.staged.reserve(lane.out.last_staged);
+    }
     if constexpr (std::is_same_v<Active, VpRange>) {
       if (!pool_) {
         lanes_[0].acc.open_range(this->label(), active.first, active.last);
@@ -298,59 +343,65 @@ class Machine : public SuperstepDriver<Machine<Payload>> {
     lanes_[0].acc.finalize_into(record_);
     trace_.append(std::move(record_));
     record_ = SuperstepRecord{};
+    if constexpr (delivers) deliver();
+  }
 
-    // Deliver: the staged sends become the next superstep's inboxes, laid
-    // out in one flat array. The lanes in order hold the sends in ascending
-    // sender order, each sender's in send order, which is inbox order. Only
-    // the boxes the previous sync filled need clearing. Then two passes over
-    // the staged sends: count per destination, listing each destination
-    // once, then place each message at its destination's cursor.
-    for (const std::uint64_t r : filled_) box_[r] = Box{};
-    filled_.clear();
+  /// The staged sends become the next superstep's inboxes, laid out in one
+  /// flat array. The lanes in order hold the sends in ascending sender
+  /// order, each sender's in send order, which is inbox order. Only the
+  /// boxes the previous sync filled need clearing. Then two passes over the
+  /// staged sends: count per destination, listing each destination once,
+  /// then place each message at its destination's cursor.
+  void deliver() {
+    for (const std::uint64_t r : mail_.filled) mail_.box[r] = Box{};
+    mail_.filled.clear();
     std::size_t total = 0;
     for (const Lane& lane : lanes_) {
-      for (const Staged& s : lane.staged) {
-        if (box_[s.dst].count++ == 0) filled_.push_back(s.dst);
+      for (const Staged& s : lane.out.staged) {
+        if (mail_.box[s.dst].count++ == 0) mail_.filled.push_back(s.dst);
       }
-      total += lane.staged.size();
+      total += lane.out.staged.size();
     }
     std::uint64_t begin = 0;
-    for (const std::uint64_t r : filled_) {
-      Box& box = box_[r];
+    for (const std::uint64_t r : mail_.filled) {
+      Box& box = mail_.box[r];
       box.begin = begin;
       begin += box.count;
-      peak_inbox_ = std::max(peak_inbox_, box.count);
+      mail_.peak_inbox = std::max(mail_.peak_inbox, box.count);
       box.count = 0;
     }
-    // Size mail_ to this sync's count. A buffer too small, or more than
-    // twice too large, is released before the new one is allocated, so two
-    // never coexist.
-    mail_.clear();
-    if (total > mail_.capacity() || 2 * total < mail_.capacity()) {
-      std::vector<MessageT>().swap(mail_);
+    // Size the mail array to this sync's count. A buffer too small, or more
+    // than twice too large, is released before the new one is allocated,
+    // so two never coexist.
+    std::vector<MessageT>& messages = mail_.messages;
+    messages.clear();
+    if (total > messages.capacity() || 2 * total < messages.capacity()) {
+      std::vector<MessageT>().swap(messages);
     }
-    mail_.resize(total);
+    messages.resize(total);
     for (Lane& lane : lanes_) {
-      for (Staged& s : lane.staged) {
-        Box& box = box_[s.dst];
-        mail_[box.begin + box.count++] = MessageT{s.src, std::move(s.data)};
+      for (Staged& s : lane.out.staged) {
+        Box& box = mail_.box[s.dst];
+        messages[box.begin + box.count++] = MessageT{s.src, std::move(s.data)};
       }
-      lane.last_staged = lane.staged.size();
-      std::vector<Staged>().swap(lane.staged);
+      lane.out.last_staged = lane.out.staged.size();
+      std::vector<Staged>().swap(lane.out.staged);
     }
   }
 
   void enqueue(std::uint64_t src, unsigned lane, std::uint64_t dst,
-               Payload data) {
+               typename Vp<Payload>::SendPayload data) {
     if (!this->in_superstep()) {
       throw std::logic_error("Machine: send outside superstep");
     }
     this->check_send(src, dst);
     Lane& l = lanes_[lane];
     l.acc.count(src, dst, 1);
-    l.staged.push_back(Staged{static_cast<std::uint32_t>(src),
-                              static_cast<std::uint32_t>(dst),
-                              std::move(data)});
+    if constexpr (delivers) {
+      l.out.staged.push_back(Staged{static_cast<std::uint32_t>(src),
+                                    static_cast<std::uint32_t>(dst),
+                                    std::move(data)});
+    }
   }
 
   void enqueue_dummy(std::uint64_t src, unsigned lane, std::uint64_t dst,
@@ -365,14 +416,7 @@ class Machine : public SuperstepDriver<Machine<Payload>> {
 
   ExecutionPolicy policy_;
   Trace trace_;
-  std::uint64_t peak_inbox_ = 0;
-
-  /// Every message the last sync delivered, grouped by recipient.
-  std::vector<MessageT> mail_;
-  /// box_[r]: VP r's slice of mail_.
-  std::vector<Box> box_;
-  /// VPs whose inbox the last sync filled, in first-delivery order.
-  std::vector<std::uint64_t> filled_;
+  [[no_unique_address]] std::conditional_t<delivers, Mail, NoMail> mail_;
 
   std::unique_ptr<WorkerPool> pool_;  ///< null under the sequential engine
   std::vector<Lane> lanes_;  ///< one per worker (1 if sequential)

@@ -1,16 +1,24 @@
 #include "cli/campaign.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <thread>
 
 #include "bsp/cost.hpp"
 #include "core/experiment.hpp"
 #include "core/wiseness.hpp"
 #include "util/bits.hpp"
 #include "util/table.hpp"
+#include "util/worker_pool.hpp"
 
 namespace nobl {
 namespace {
@@ -388,53 +396,191 @@ RunResult evaluate_run(const CampaignSpec& spec, const AlgoEntry& entry,
 
 namespace {
 
-/// Execute the cells one at a time: run, evaluate, show the trace to
-/// `visit`, then drop it (or move it into the RunResult when `keep_traces`).
+/// One executed cell: its RunResult and, while a visitor or the
+/// trace-keeping overload still needs it, its trace.
+struct ExecutedCell {
+  RunResult run;
+  Trace trace;
+};
+
+void announce(std::ostream* progress, const CampaignCell& cell) {
+  if (progress == nullptr) return;
+  // One write per line, so that lines from concurrent lanes never
+  // interleave.
+  *progress << ("nobl: running " + cell.entry->name +
+                " n=" + std::to_string(cell.n) + " [" +
+                to_string(cell.policy) + ", " + to_string(cell.backend) +
+                "]\n");
+}
+
+/// Run one cell and evaluate it; the trace is kept only if `keep_trace`.
+ExecutedCell execute(const CampaignSpec& spec, const CampaignCell& cell,
+                     bool keep_trace) {
+  const AlgoEntry& entry = *cell.entry;
+  RunOptions options{cell.policy, cell.backend};
+  dist::Measurement measurement;
+  if (cell.backend == BackendKind::kDistributed) {
+    options.dist = spec.dist;
+    options.measure = &measurement;
+  }
+  Trace trace = entry.runner(cell.n, options);
+  ExecutedCell done{evaluate_run(spec, entry, cell.n, cell.backend,
+                                 cell.policy, trace),
+                    {}};
+  if (cell.backend == BackendKind::kDistributed) {
+    // Attach the measured wall-clock column next to the accounted degrees.
+    // evaluate_run is deliberately trace-only, so timing rides on the
+    // RunResult afterwards and never perturbs the metric surface.
+    done.run.measured_ms = std::move(measurement.superstep_ms);
+    done.run.measured_total_ms = measurement.total_ms;
+    done.run.transport = dist::to_string(measurement.transport);
+    done.run.dist_workers = measurement.workers;
+  }
+  if (keep_trace) done.trace = std::move(trace);
+  return done;
+}
+
+/// Execute the cells on `lanes` lanes and deliver them in cell order: show
+/// each trace to `visit`, then drop it (or move it into the RunResult when
+/// `keep_traces`).
+///
+/// One lane runs the cells inline. More lanes run on a WorkerPool: each
+/// lane takes the next cell in campaign_cells() order under the dispatch
+/// lock, and the calling thread (pool worker 0) delivers finished cells
+/// from a reorder buffer in cell order, so the result, the visitor calls
+/// and a failure are those of the one-lane run. A failing cell stops
+/// dispatch past it, and the lowest failing cell's exception propagates
+/// after every cell before it was delivered; a throwing visitor stops
+/// dispatch altogether.
 CampaignResult run_cells(const CampaignSpec& spec, std::ostream* progress,
-                         const CellVisitor& visit, bool keep_traces) {
+                         const CellVisitor& visit, bool keep_traces,
+                         unsigned lanes) {
+  const std::vector<CampaignCell> cells = campaign_cells(spec);
+  lanes = static_cast<unsigned>(std::min<std::size_t>(lanes, cells.size()));
+  const bool hold_traces = keep_traces || static_cast<bool>(visit);
   CampaignResult result;
   result.spec = spec;
-  for (const CampaignCell& cell : campaign_cells(spec)) {
-    const AlgoEntry& entry = *cell.entry;
-    if (progress != nullptr) {
-      *progress << "nobl: running " << entry.name << " n=" << cell.n << " ["
-                << to_string(cell.policy) << ", " << to_string(cell.backend)
-                << "]\n";
+  result.runs.reserve(cells.size());
+  auto deliver = [&](ExecutedCell& done) {
+    if (visit) visit(done.run, done.trace);
+    if (keep_traces) done.run.trace = std::move(done.trace);
+    result.runs.push_back(std::move(done.run));
+  };
+  if (lanes <= 1) {
+    for (const CampaignCell& cell : cells) {
+      announce(progress, cell);
+      ExecutedCell done = execute(spec, cell, hold_traces);
+      deliver(done);
     }
-    RunOptions options{cell.policy, cell.backend};
-    dist::Measurement measurement;
-    if (cell.backend == BackendKind::kDistributed) {
-      options.dist = spec.dist;
-      options.measure = &measurement;
-    }
-    Trace trace = entry.runner(cell.n, options);
-    RunResult run = evaluate_run(spec, entry, cell.n, cell.backend,
-                                 cell.policy, trace);
-    if (cell.backend == BackendKind::kDistributed) {
-      // Attach the measured wall-clock column next to the accounted degrees.
-      // evaluate_run is deliberately trace-only, so timing rides on the
-      // RunResult afterwards and never perturbs the metric surface.
-      run.measured_ms = std::move(measurement.superstep_ms);
-      run.measured_total_ms = measurement.total_ms;
-      run.transport = dist::to_string(measurement.transport);
-      run.dist_workers = measurement.workers;
-    }
-    if (visit) visit(run, trace);
-    if (keep_traces) run.trace = std::move(trace);
-    result.runs.push_back(std::move(run));
+    return result;
   }
+
+  struct Slot {
+    std::optional<ExecutedCell> done;
+    std::exception_ptr error;
+  };
+  std::mutex mutex;
+  std::condition_variable finished;
+  std::vector<Slot> slots(cells.size());  // the reorder buffer
+  std::size_t next = 0;                   // the next cell to dispatch
+  std::size_t limit = cells.size();       // no cell from here on starts
+  std::exception_ptr failure;
+  auto deliver_in_order = [&] {
+    for (Slot& slot : slots) {
+      ExecutedCell done;
+      {
+        std::unique_lock lock(mutex);
+        finished.wait(lock, [&] { return slot.done || slot.error; });
+        if (slot.error) {
+          failure = slot.error;
+          limit = 0;
+          return;
+        }
+        done = std::move(*slot.done);
+        slot.done.reset();
+      }
+      try {
+        deliver(done);
+      } catch (...) {
+        const std::lock_guard lock(mutex);
+        failure = std::current_exception();
+        limit = 0;
+        return;
+      }
+    }
+  };
+  auto run_lane = [&] {
+    for (;;) {
+      std::size_t i = 0;
+      {
+        const std::lock_guard lock(mutex);
+        if (next >= limit) return;
+        i = next++;
+        announce(progress, cells[i]);
+      }
+      try {
+        ExecutedCell done = execute(spec, cells[i], hold_traces);
+        const std::lock_guard lock(mutex);
+        slots[i].done = std::move(done);
+      } catch (...) {
+        const std::lock_guard lock(mutex);
+        slots[i].error = std::current_exception();
+        limit = std::min(limit, i + 1);
+      }
+      finished.notify_one();
+    }
+  };
+  WorkerPool pool(lanes + 1);
+  pool.run([&](unsigned w) {
+    if (w == 0) {
+      deliver_in_order();
+    } else {
+      run_lane();
+    }
+  });
+  if (failure) std::rethrow_exception(failure);
   return result;
 }
 
 }  // namespace
 
+namespace campaign_detail {
+
+unsigned campaign_lanes(const CampaignSpec& spec) {
+  // Distributed cells fork their workers: a forking process keeps no
+  // other threads.
+  if (std::find(spec.backends.begin(), spec.backends.end(),
+                BackendKind::kDistributed) != spec.backends.end()) {
+    return 1;
+  }
+  // Half the CPUs this process may run on, so that a cell under the
+  // parallel engine, and the host's other work, keep room.
+  unsigned cpus = std::thread::hardware_concurrency();
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof allowed, &allowed) == 0) {
+    cpus = static_cast<unsigned>(CPU_COUNT(&allowed));
+  }
+  return std::max(1u, cpus / 2);
+}
+
+CampaignResult run_campaign_on_lanes(const CampaignSpec& spec,
+                                     std::ostream* progress,
+                                     const CellVisitor& visit,
+                                     unsigned lanes) {
+  return run_cells(spec, progress, visit, /*keep_traces=*/false, lanes);
+}
+
+}  // namespace campaign_detail
+
 CampaignResult run_campaign(const CampaignSpec& spec, std::ostream* progress,
                             const CellVisitor& visit) {
-  return run_cells(spec, progress, visit, /*keep_traces=*/false);
+  return run_cells(spec, progress, visit, /*keep_traces=*/false,
+                   campaign_detail::campaign_lanes(spec));
 }
 
 CampaignResult run_campaign(const CampaignSpec& spec, std::ostream* progress) {
-  return run_cells(spec, progress, nullptr, /*keep_traces=*/true);
+  return run_cells(spec, progress, nullptr, /*keep_traces=*/true,
+                   campaign_detail::campaign_lanes(spec));
 }
 
 // ---------------------------------------------------------------------------

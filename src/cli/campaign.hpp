@@ -5,18 +5,23 @@
 // bsp/backend.hpp, core/analytic.hpp and dist/backend.hpp), an engine matrix,
 // a fold range and a σ grid. `run_campaign` executes every (algorithm, n,
 // backend, engine) cell once and evaluates the full metric surface from the
-// recorded trace, one cell at a time:
+// recorded trace:
 //
 //   * H measured vs predicted vs lower bound at every fold × σ,
 //   * wiseness α / fullness γ at every fold (Defs. 3.2 / 5.2),
 //   * the Theorem 3.4 certification (α, γ, β_min, guarantee) at the top
 //     fold.
 //
-// Every reported metric is a pure function of a cell's trace, so a cell's
-// trace is dropped as soon as its RunResult is evaluated: the runner holds
-// one trace in memory at a time. Callers that need the trace itself (the
-// Lemma 3.1 folding column of `nobl certify`, `nobl trace --export`) see it
-// through a CellVisitor while it is still alive.
+// Cells are independent, so the runner executes them on lanes: half the
+// CPUs this process may run on (one lane when the spec has a distributed
+// backend, whose cells fork). Results, visitor calls and failures arrive in
+// cell order whatever the lane count. Every reported metric is a pure
+// function of a cell's trace, so a cell's trace is dropped as soon as its
+// RunResult is evaluated: the runner holds at most one live trace per lane,
+// plus those of finished cells waiting in the reorder buffer for a
+// visitor. Callers that need the trace itself (the Lemma 3.1 folding
+// column of `nobl certify`, `nobl trace --export`) see it through a
+// CellVisitor while it is still alive.
 //
 // Results render as text tables or as schema-versioned JSON that
 // `nobl check` (and CI) can validate and threshold. Specs are either
@@ -161,11 +166,15 @@ struct CampaignResult {
 /// trace is still in memory. The trace is dropped when the visitor returns.
 using CellVisitor = std::function<void(const RunResult&, const Trace&)>;
 
-/// Execute the campaign cell by cell in campaign_cells() order. Each cell's
-/// trace lives only until its RunResult is evaluated and `visit` (when set)
-/// has seen it, so memory is bounded by the largest single trace, not by
-/// their sum. Progress lines ("algorithm n engine") go to `progress` when
-/// non-null (the CLI passes stderr so --json stays clean).
+/// Execute the campaign's cells on lanes (file comment) and deliver them in
+/// campaign_cells() order: the RunResults, and the `visit` calls (when set)
+/// on the calling thread. Each cell's trace lives only until its RunResult
+/// is evaluated and `visit` has seen it, so memory is bounded by a few
+/// traces, not by their sum. If cells throw, every cell before the lowest
+/// failing one is delivered and its exception propagates; no later cell is
+/// visited. Progress lines ("algorithm n engine") go to `progress` when
+/// non-null, one write per line, as each cell starts (the CLI passes
+/// stderr so --json stays clean).
 [[nodiscard]] CampaignResult run_campaign(const CampaignSpec& spec,
                                           std::ostream* progress,
                                           const CellVisitor& visit);
@@ -176,6 +185,22 @@ using CellVisitor = std::function<void(const RunResult&, const Trace&)>;
 /// CellVisitor (or nullptr) to the overload above instead.
 [[nodiscard]] CampaignResult run_campaign(const CampaignSpec& spec,
                                           std::ostream* progress = nullptr);
+
+namespace campaign_detail {
+
+/// The lane count run_campaign uses for `spec` before clamping it to the
+/// cell count: 1 if the spec has a distributed backend, else half the CPUs
+/// in this process's affinity mask (at least 1).
+[[nodiscard]] unsigned campaign_lanes(const CampaignSpec& spec);
+
+/// The visitor overload of run_campaign on `lanes` lanes instead of
+/// campaign_lanes(spec); the test seam that pins lane-count independence.
+[[nodiscard]] CampaignResult run_campaign_on_lanes(const CampaignSpec& spec,
+                                                   std::ostream* progress,
+                                                   const CellVisitor& visit,
+                                                   unsigned lanes);
+
+}  // namespace campaign_detail
 
 /// Evaluate the full metric surface (cells, folds, certification) of one
 /// already-executed (algorithm, n, backend, engine) cell from its trace.

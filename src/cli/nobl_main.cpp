@@ -598,7 +598,8 @@ int cmd_trace(const std::vector<std::string>& args) {
               (run.algorithm + "_n" + std::to_string(run.n) +
                (binary ? kTraceBinExtension : ".csv"));
           save_trace(path.string(), trace, binary);
-          if (!quiet) std::cerr << "nobl: wrote " << path.string() << "\n";
+          // One write, so that it never splits a lane's progress line.
+          if (!quiet) std::cerr << ("nobl: wrote " + path.string() + "\n");
         });
     return 0;
   }

@@ -1,7 +1,6 @@
 #include "core/registry.hpp"
 
 #include <algorithm>
-#include <complex>
 #include <functional>
 #include <stdexcept>
 #include <type_traits>
@@ -113,13 +112,13 @@ const AlgoEntry& AlgoRegistry::at(const std::string& name) const {
 // the workload of size n from the workloads:: generators with seed n,
 // passes every input value through `input`, and returns
 // `interpret(v, program)` for its machine size v(n) and its *_program call.
-// The runner interprets the raw workload with run_for_trace<Payload>; the
+// The runner interprets the raw workload with run_for_trace; the
 // taint hook interprets the workload tainted at injection with
 // audit::AuditBackend. Both sit behind one admissibility gate: an
 // inadmissible n (or unsupported backend) fails with the actionable
 // registry message — offending n, size rule, nearest admissible size —
 // instead of the kernel's bare invariant string.
-template <typename Payload, typename Kernel>
+template <typename Kernel>
 void AlgoRegistry::add(Kernel kernel, AlgoEntry entry) {
   const std::size_t index = entries_.size();
   entry.runner = [this, index, kernel](std::uint64_t n,
@@ -138,7 +137,7 @@ void AlgoRegistry::add(Kernel kernel, AlgoEntry entry) {
     }
     return kernel(n, std::identity{},
                   [&options](std::uint64_t v, auto&& program) {
-                    return run_for_trace<Payload>(v, options, program);
+                    return run_for_trace(v, options, program);
                   });
   };
   entry.taint = [this, index, kernel](std::uint64_t n) {
@@ -155,7 +154,7 @@ void AlgoRegistry::add(Kernel kernel, AlgoEntry entry) {
 AlgoRegistry::AlgoRegistry() {
   using namespace workloads;
 
-  add<MatmulMsg<long>>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         const std::uint64_t m = sqrt_pow2(n);
         const auto a = input(random_matrix(m, m));
@@ -177,7 +176,7 @@ AlgoRegistry::AlgoRegistry() {
        .validate = square_pow2_size,
        .max_sweep_size = std::uint64_t{1} << 18});
 
-  add<MatmulSpaceMsg<long>>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         const std::uint64_t m = sqrt_pow2(n);
         const auto a = input(random_matrix(m, m));
@@ -199,7 +198,7 @@ AlgoRegistry::AlgoRegistry() {
        .validate = square_pow2_size,
        .max_sweep_size = std::uint64_t{1} << 18});
 
-  add<std::complex<double>>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         const auto signal = input(random_signal(n, n));
         return interpret(
@@ -218,7 +217,7 @@ AlgoRegistry::AlgoRegistry() {
        .header = "src/algorithms/fft.hpp",
        .validate = pow2_size});
 
-  add<std::uint64_t>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         const auto keys = input(random_keys(n, n));
         return interpret(
@@ -238,7 +237,7 @@ AlgoRegistry::AlgoRegistry() {
        .validate = pow2_size,
        .max_sweep_size = std::uint64_t{1} << 20});
 
-  add<std::uint64_t>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         const auto keys = input(random_keys(n, n));
         return interpret(
@@ -258,7 +257,7 @@ AlgoRegistry::AlgoRegistry() {
        .validate = pow2_size,
        .max_sweep_size = std::uint64_t{1} << 20});
 
-  add<double>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         const auto rod = input(random_rod(n, n));
         return interpret(n, [&](auto& bk) {
@@ -282,7 +281,7 @@ AlgoRegistry::AlgoRegistry() {
        .validate = pow2_size,
        .max_sweep_size = std::uint64_t{1} << 13});
 
-  add<std::uint8_t>(
+  add(
       [](std::uint64_t n, auto, auto interpret) {
         // No input values reach the program: the schedule is a function
         // of n alone, on M(n^2).
@@ -306,7 +305,7 @@ AlgoRegistry::AlgoRegistry() {
        .validate = pow2_size_ge2,
        .max_sweep_size = std::uint64_t{1} << 10});
 
-  add<std::uint64_t>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         const auto addends = input(random_addends(n, n));
         return interpret(n, [&](auto& bk) { (void)scan_program(bk, addends); });
@@ -329,7 +328,7 @@ AlgoRegistry::AlgoRegistry() {
        .analytic = analytic::scan_trace,
        .validate = pow2_size});
 
-  add<long>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         const std::uint64_t m = sqrt_pow2(n);
         const auto a = input(random_matrix(m, m));
@@ -350,7 +349,7 @@ AlgoRegistry::AlgoRegistry() {
        .analytic = analytic::transpose_trace,
        .validate = square_pow2_size});
 
-  add<std::uint64_t>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         const auto keys = input(random_keys(n, n));
         return interpret(
@@ -371,7 +370,7 @@ AlgoRegistry::AlgoRegistry() {
        .validate = pow2_size,
        .max_sweep_size = std::uint64_t{1} << 16});
 
-  add<std::uint64_t>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         return interpret(n, [&](auto& bk) {
           (void)broadcast_program(bk, 2, input(std::uint64_t{1}));
@@ -398,7 +397,7 @@ AlgoRegistry::AlgoRegistry() {
        .analytic = analytic::broadcast_trace,
        .validate = pow2_size});
 
-  add<std::uint64_t>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         const auto addends = input(random_addends(n, n));
         return interpret(
@@ -422,7 +421,7 @@ AlgoRegistry::AlgoRegistry() {
        .analytic = analytic::reduce_trace,
        .validate = pow2_size});
 
-  add<std::uint64_t>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         const auto values = input(random_keys(n, n));
         return interpret(
@@ -443,7 +442,7 @@ AlgoRegistry::AlgoRegistry() {
        .analytic = analytic::gather_trace,
        .validate = pow2_size});
 
-  add<std::uint64_t>(
+  add(
       [](std::uint64_t n, auto input, auto interpret) {
         const auto values = input(random_keys(n, n));
         return interpret(n, [&](auto& bk) { (void)shift_program(bk, values); });

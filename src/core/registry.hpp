@@ -138,7 +138,7 @@ class AlgoRegistry {
   AlgoRegistry();
   /// Register `entry`, deriving its runner and taint hook from one kernel
   /// definition (registry.cpp).
-  template <typename Payload, typename Kernel>
+  template <typename Kernel>
   void add(Kernel kernel, AlgoEntry entry);
 
   std::vector<AlgoEntry> entries_;

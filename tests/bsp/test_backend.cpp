@@ -235,8 +235,8 @@ TEST(Backends, EverySuperstepRuleHoldsOnEveryBackend) {
          RunOptions options;
          options.backend = BackendKind::kDistributed;
          options.dist.transport = dist::Transport::kFork;
-         (void)run_for_trace<int>(
-             v, options, [rule](auto& bk) { drive(rule, bk); });
+         (void)run_for_trace(v, options,
+                             [rule](auto& bk) { drive(rule, bk); });
        }},
   };
 
@@ -329,12 +329,10 @@ TEST(RecordBackend, ScheduleFeedsTheReferenceOracle) {
 TEST(Backend, RunForTraceIsBackendInvariant) {
   const auto addends = workloads::random_addends(32, 99);
   auto program = [&](auto& bk) { (void)scan_program(bk, addends); };
-  const Trace simulate =
-      run_for_trace<std::uint64_t>(32, RunOptions{}, program);
-  const Trace cost = run_for_trace<std::uint64_t>(
-      32, RunOptions{BackendKind::kCost}, program);
-  const Trace record = run_for_trace<std::uint64_t>(
-      32, RunOptions{BackendKind::kRecord}, program);
+  const Trace simulate = run_for_trace(32, RunOptions{}, program);
+  const Trace cost = run_for_trace(32, RunOptions{BackendKind::kCost}, program);
+  const Trace record =
+      run_for_trace(32, RunOptions{BackendKind::kRecord}, program);
   expect_traces_identical(simulate, cost);
   expect_traces_identical(simulate, record);
 }

@@ -8,9 +8,11 @@
 // The trace matrix iterates the AlgoRegistry rather than a hand-maintained
 // list: registering an algorithm is what buys it sequential-vs-parallel
 // bit-equivalence coverage (and the TSan run via the `engine` CTest label),
-// with no edit here. Registry runners return traces only, so output-VALUE
-// equivalence keeps a compact matrix below that runs every kernel's
-// program through run_program (bsp/backend.hpp) under each engine.
+// with no edit here. Registry runners return traces only and simulate on
+// the payload-free SimulateBackend<void>, so a compact matrix below runs
+// every kernel's program through run_program<Payload> (bsp/backend.hpp),
+// which routes real payloads: output VALUES must match under each engine,
+// and the routed trace must match a CostBackend run of the same program.
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -219,14 +221,27 @@ TEST(BackendEquivalence, CostTraceMatchesParallelSimulateToo) {
 // the guarantee — per-VP results bit-identical under both engines — runs
 // each kernel's program through run_program under every engine.
 
+// Trace-only runs deliver nothing; the routed runs below are the ones that
+// read payloads back.
+static_assert(!SimulateBackend<void>::delivers);
+static_assert(SimulateBackend<std::uint64_t>::delivers);
+
 // Run `program` on M(v) sequentially and under each parallel thread count:
 // outputs must compare equal (bit-identical, not approximately: both
 // engines execute the same floating-point operations per VP in the same
-// order) and traces identical.
+// order) and traces identical. The sequential routed trace must also equal
+// the CostBackend trace of the same program: with registry runners no
+// longer routing payloads, this pins the routed path for every kernel.
 template <typename Payload, typename Program>
 void expect_engine_invariant(const std::string& name, std::uint64_t v,
                              const Program& program) {
   const auto seq = run_program<Payload>(v, program);
+  {
+    SCOPED_TRACE(name + " v=" + std::to_string(v) + " routed vs cost");
+    CostBackend cost(v);
+    (void)program(cost);
+    expect_traces_identical(seq.trace, cost.trace());
+  }
   for (const unsigned threads : kThreadCounts) {
     SCOPED_TRACE(name + " v=" + std::to_string(v) +
                  " threads=" + std::to_string(threads));

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/wiseness.hpp"
 #include "util/rng.hpp"
@@ -404,6 +407,167 @@ TEST(CampaignRun, ValidatorCatchesBackendDivergence) {
   EXPECT_NE(violations[0].find("bit-identical"), std::string::npos)
       << violations[0];
   EXPECT_NE(violations[0].find("cost"), std::string::npos) << violations[0];
+}
+
+// ---- Lanes. -----------------------------------------------------------------
+//
+// run_campaign runs cells on campaign_detail::campaign_lanes(spec) lanes;
+// whatever the count, its results, progress lines, visitor calls and
+// failures are those of a serial run over campaign_cells().
+
+CampaignSpec lane_spec(const std::string& name) {
+  CampaignSpec spec = builtin_campaign(name);
+  if (name == "conformance") {
+    spec.backends = {BackendKind::kSimulate, BackendKind::kCost,
+                     BackendKind::kRecord, BackendKind::kAnalytic};
+  }
+  return spec;
+}
+
+/// A serial run: every cell's registry runner, evaluated in cell order.
+struct SerialRun {
+  CampaignResult result;
+  std::vector<Trace> traces;
+  std::string progress;
+};
+
+SerialRun serial_reference(const CampaignSpec& spec) {
+  SerialRun serial;
+  serial.result.spec = spec;
+  for (const CampaignCell& cell : campaign_cells(spec)) {
+    serial.progress += "nobl: running " + cell.entry->name +
+                       " n=" + std::to_string(cell.n) + " [" +
+                       to_string(cell.policy) + ", " +
+                       to_string(cell.backend) + "]\n";
+    Trace trace =
+        cell.entry->runner(cell.n, RunOptions{cell.policy, cell.backend});
+    serial.result.runs.push_back(evaluate_run(spec, *cell.entry, cell.n,
+                                              cell.backend, cell.policy,
+                                              trace));
+    serial.traces.push_back(std::move(trace));
+  }
+  return serial;
+}
+
+std::string json_text(const CampaignResult& result) {
+  std::ostringstream os;
+  write_campaign_json(os, result);
+  return os.str();
+}
+
+std::string plain_text(const CampaignResult& result) {
+  std::ostringstream os;
+  print_campaign_text(os, result);
+  return os.str();
+}
+
+bool same_trace(const Trace& a, const Trace& b) {
+  if (a.log_v() != b.log_v() || a.supersteps() != b.supersteps()) {
+    return false;
+  }
+  for (std::size_t s = 0; s < a.supersteps(); ++s) {
+    const SuperstepRecord& x = a.steps()[s];
+    const SuperstepRecord& y = b.steps()[s];
+    if (x.label != y.label || x.degree != y.degree ||
+        x.messages != y.messages) {
+      return false;
+    }
+  }
+  return true;
+}
+
+constexpr unsigned kLaneCounts[] = {1, 2, 4};
+
+TEST(CampaignLanes, OutputIsIndependentOfTheLaneCount) {
+  for (const char* name : {"golden", "ci-smoke", "conformance"}) {
+    const CampaignSpec spec = lane_spec(name);
+    const std::vector<CampaignCell> cells = campaign_cells(spec);
+    const SerialRun serial = serial_reference(spec);
+    for (const unsigned lanes : kLaneCounts) {
+      SCOPED_TRACE(std::string(name) + " lanes=" + std::to_string(lanes));
+      std::ostringstream progress;
+      std::size_t visits = 0;
+      const CampaignResult result = campaign_detail::run_campaign_on_lanes(
+          spec, &progress,
+          [&](const RunResult& run, const Trace& trace) {
+            ASSERT_LT(visits, cells.size());
+            const CampaignCell& cell = cells[visits];
+            EXPECT_EQ(run.algorithm, cell.entry->name) << "cell " << visits;
+            EXPECT_EQ(run.n, cell.n) << "cell " << visits;
+            EXPECT_EQ(run.backend, to_string(cell.backend));
+            EXPECT_EQ(run.engine, to_string(cell.policy));
+            EXPECT_TRUE(same_trace(trace, serial.traces[visits]))
+                << "cell " << visits;
+            ++visits;
+          },
+          lanes);
+      EXPECT_EQ(visits, cells.size());
+      EXPECT_EQ(json_text(result), json_text(serial.result));
+      EXPECT_EQ(plain_text(result), plain_text(serial.result));
+      // Cells are announced under the dispatch lock, in cell order.
+      EXPECT_EQ(progress.str(), serial.progress);
+    }
+  }
+}
+
+TEST(CampaignLanes, ThrowingVisitorStopsTheRun) {
+  const CampaignSpec spec = builtin_campaign("golden");
+  const std::size_t cells = campaign_cells(spec).size();
+  for (const unsigned lanes : kLaneCounts) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{3}, cells - 1}) {
+      SCOPED_TRACE("lanes=" + std::to_string(lanes) +
+                   " k=" + std::to_string(k));
+      std::size_t visits = 0;
+      try {
+        (void)campaign_detail::run_campaign_on_lanes(
+            spec, nullptr,
+            [&](const RunResult&, const Trace&) {
+              if (visits++ == k) {
+                throw std::runtime_error("stop at " + std::to_string(k));
+              }
+            },
+            lanes);
+        ADD_FAILURE() << "the visitor's exception did not propagate";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), "stop at " + std::to_string(k));
+      }
+      EXPECT_EQ(visits, k + 1);
+    }
+  }
+}
+
+TEST(CampaignLanes, LowestFailingCellPropagates) {
+  // matmul and transpose reject n = 48 in their runners; cells after the
+  // first failure are never delivered, cells before it are.
+  CampaignSpec spec;
+  spec.name = "failing";
+  spec.sweeps = {{"fft", {64}},       {"matmul", {48}},    {"scan", {64}},
+                 {"transpose", {48}}, {"broadcast", {64}}};
+  for (const unsigned lanes : kLaneCounts) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    std::vector<std::string> visited;
+    try {
+      (void)campaign_detail::run_campaign_on_lanes(
+          spec, nullptr,
+          [&](const RunResult& run, const Trace&) {
+            visited.push_back(run.algorithm);
+          },
+          lanes);
+      ADD_FAILURE() << "the failing cell's exception did not propagate";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("matmul: n = 48"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(visited, std::vector<std::string>{"fft"});
+  }
+}
+
+TEST(CampaignLanes, DistributedSpecsRunOnOneLane) {
+  CampaignSpec spec = builtin_campaign("conformance");
+  EXPECT_GE(campaign_detail::campaign_lanes(spec), 1u);
+  spec.backends = {BackendKind::kCost, BackendKind::kDistributed};
+  EXPECT_EQ(campaign_detail::campaign_lanes(spec), 1u);
 }
 
 TEST(CampaignText, RendersEveryRun) {

@@ -140,7 +140,7 @@ TEST(Distributed, WorkerCountClampsToAPowerOfTwoDividingV) {
     bk.superstep(1, [](auto& vp) { vp.send_dummy(vp.id() ^ 1, 2); });
   };
   const Trace reference =
-      run_for_trace<std::uint64_t>(8, RunOptions{BackendKind::kCost}, program);
+      run_for_trace(8, RunOptions{BackendKind::kCost}, program);
   for (const unsigned workers : {1u, 2u, 3u, 5u, 64u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     RunOptions options;
@@ -148,8 +148,7 @@ TEST(Distributed, WorkerCountClampsToAPowerOfTwoDividingV) {
     options.dist.workers = workers;
     dist::Measurement measurement;
     options.measure = &measurement;
-    const Trace distributed =
-        run_for_trace<std::uint64_t>(8, options, program);
+    const Trace distributed = run_for_trace(8, options, program);
     expect_traces_identical(distributed, reference);
     EXPECT_GE(measurement.workers, 1u);
     EXPECT_LE(measurement.workers, 8u);
@@ -163,8 +162,7 @@ template <typename Program>
 Trace run_distributed_program(Program&& program) {
   RunOptions options;
   options.backend = BackendKind::kDistributed;
-  return run_for_trace<std::uint64_t>(4, options,
-                                      std::forward<Program>(program));
+  return run_for_trace(4, options, std::forward<Program>(program));
 }
 
 TEST(Distributed, WorkerProgramExceptionsCarryTheirMessage) {
@@ -198,15 +196,14 @@ TEST(Distributed, SparseAndRangedSuperstepsMergeLikeTheReference) {
     bk.superstep_sparse(2, active,
                         [](auto& vp) { vp.send_dummy(vp.id() ^ 1, 5); });
   };
-  const Trace reference = run_for_trace<std::uint64_t>(
-      8, RunOptions{BackendKind::kRecord}, program);
+  const Trace reference =
+      run_for_trace(8, RunOptions{BackendKind::kRecord}, program);
   for (const unsigned workers : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     RunOptions options;
     options.backend = BackendKind::kDistributed;
     options.dist.workers = workers;
-    const Trace distributed =
-        run_for_trace<std::uint64_t>(8, options, program);
+    const Trace distributed = run_for_trace(8, options, program);
     expect_traces_identical(distributed, reference);
   }
 }
@@ -469,16 +466,15 @@ TEST(Distributed, BackpressureFromLargeBlocksKeepsTheMergeExact) {
       });
     }
   };
-  const Trace reference = run_for_trace<std::uint64_t>(
-      256, RunOptions{BackendKind::kRecord}, program);
+  const Trace reference =
+      run_for_trace(256, RunOptions{BackendKind::kRecord}, program);
   for (const dist::Transport transport :
        {dist::Transport::kFork, dist::Transport::kTcp}) {
     SCOPED_TRACE(dist::to_string(transport));
     RunOptions options;
     options.backend = BackendKind::kDistributed;
     options.dist = dist::DistConfig{2, transport};
-    const Trace distributed =
-        run_for_trace<std::uint64_t>(256, options, program);
+    const Trace distributed = run_for_trace(256, options, program);
     expect_traces_identical(distributed, reference);
   }
 }
